@@ -104,22 +104,14 @@ def interleave_traces(traces: list[AccessTrace], chunk: int = 1) -> AccessTrace:
         return AccessTrace(va=np.zeros(0, dtype=np.uint64))
     if len(traces) == 1:
         return traces[0]
-    total = sum(len(t) for t in traces)
-    va = np.empty(total, dtype=np.uint64)
-    is_write = np.empty(total, dtype=bool)
-    variable = np.empty(total, dtype=np.int64)
-    cursors = [0] * len(traces)
-    out = 0
-    while out < total:
-        for index, trace in enumerate(traces):
-            start = cursors[index]
-            if start >= len(trace):
-                continue
-            stop = min(start + chunk, len(trace))
-            span = stop - start
-            va[out : out + span] = trace.va[start:stop]
-            is_write[out : out + span] = trace.is_write[start:stop]
-            variable[out : out + span] = trace.variable[start:stop]
-            cursors[index] = stop
-            out += span
-    return AccessTrace(va=va, is_write=is_write, variable=variable)
+    merged = concat_traces(traces)
+    lengths = [len(t) for t in traces]
+    thread = np.repeat(np.arange(len(traces)), lengths)
+    # An access's round is its chunk number within its own thread.
+    rounds = np.concatenate([np.arange(n) // chunk for n in lengths])
+    order = np.lexsort((thread, rounds))
+    return AccessTrace(
+        va=merged.va[order],
+        is_write=merged.is_write[order],
+        variable=merged.variable[order],
+    )

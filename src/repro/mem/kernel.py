@@ -9,6 +9,11 @@ When constructed without an :class:`~repro.core.sdam.SDAMController`
 the kernel behaves like the baseline systems: the mapping-id argument
 is accepted (the ABI is unchanged) but every allocation lands in one
 global chunk group and no CMT writes happen.
+
+The callbacks the kernel hands down (the CMT driver to
+:class:`PhysicalMemory`, the fault handler to each
+:class:`AddressSpace`) are small objects that never point back at the
+kernel, so a finished kernel is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -29,6 +34,51 @@ from repro.mem.virtual import AddressSpace, VMArea
 __all__ = ["Kernel"]
 
 
+class CMTDriver:
+    """Table 4's driver: programs the CMT as chunks join and leave groups.
+
+    Holds the SDAM controller (None on a baseline kernel) and the
+    software-mapping-id to CMT-index table that ``add_addr_map`` fills.
+    """
+
+    def __init__(self, sdam: SDAMController | None):
+        self.sdam = sdam
+        # mapping-id 0 is the boot default (identity), always present.
+        self.registered_mappings: dict[int, int] = {0: 0}
+
+    def chunk_assigned(self, chunk_no: int, mapping_id: int) -> None:
+        """Bind a freshly acquired chunk to its mapping's CMT entry."""
+        if self.sdam is not None:
+            self.sdam.assign_chunk(chunk_no, self.registered_mappings[mapping_id])
+
+    def chunk_released(self, chunk_no: int) -> None:
+        """Unbind a chunk returned to the free list."""
+        if self.sdam is not None:
+            self.sdam.release_chunk(chunk_no)
+
+    def effective_mapping(self, mapping_id: int) -> int:
+        """The mapping id allocations use: itself under SDAM, else 0."""
+        effective = mapping_id if self.sdam is not None else 0
+        if effective not in self.registered_mappings:
+            raise ProfilingError(
+                f"mapping id {mapping_id} was never registered via add_addr_map"
+            )
+        return effective
+
+
+class FaultHandler:
+    """Page-fault handler: allocate a frame from the right chunk group."""
+
+    def __init__(self, driver: CMTDriver, physical: PhysicalMemory):
+        self.driver = driver
+        self.physical = physical
+
+    def __call__(self, mapping_id: int) -> int:
+        return self.physical.alloc_frame(
+            self.driver.effective_mapping(mapping_id)
+        )
+
+
 class Kernel:
     """Minimal OS: processes, physical memory, SDAM control plane."""
 
@@ -39,32 +89,32 @@ class Kernel:
         chunk_colours: int = 8,
     ):
         self.geometry = geometry
-        self.sdam = sdam
+        self._driver = CMTDriver(sdam)
+        self._registered_mappings = self._driver.registered_mappings
         self.physical = PhysicalMemory(
             geometry,
-            on_chunk_assigned=self._chunk_assigned,
-            on_chunk_released=self._chunk_released,
+            on_chunk_assigned=self._driver.chunk_assigned,
+            on_chunk_released=self._driver.chunk_released,
             chunk_colours=chunk_colours,
         )
+        self._fault_handler = FaultHandler(self._driver, self.physical)
         self._spaces: dict[int, AddressSpace] = {}
         self._next_pid = 1
-        # mapping-id 0 is the boot default (identity), always present.
-        self._registered_mappings: dict[int, int] = {0: 0}
         self._identity_translator: GlobalMappingTranslator | None = None
+
+    @property
+    def sdam(self) -> SDAMController | None:
+        """The attached SDAM controller (None on a baseline kernel)."""
+        return self._driver.sdam
+
+    @sdam.setter
+    def sdam(self, sdam: SDAMController | None) -> None:
+        self._driver.sdam = sdam
 
     @property
     def sdam_enabled(self) -> bool:
         """True when an SDAM controller is attached."""
         return self.sdam is not None
-
-    # -- CMT driver (Table 4's "Driver" rows) ------------------------------
-    def _chunk_assigned(self, chunk_no: int, mapping_id: int) -> None:
-        if self.sdam is not None:
-            self.sdam.assign_chunk(chunk_no, self._registered_mappings[mapping_id])
-
-    def _chunk_released(self, chunk_no: int) -> None:
-        if self.sdam is not None:
-            self.sdam.release_chunk(chunk_no)
 
     # -- mapping registration (the add_addr_map() syscall backend) ----------
     def add_addr_map(self, mapping, namespace: str | None = None) -> int:
@@ -123,20 +173,11 @@ class Kernel:
         self._next_pid += 1
         space = AddressSpace(
             page_bytes=self.geometry.page_bytes,
-            fault_handler=self._handle_fault,
+            fault_handler=self._fault_handler,
             pid=pid,
         )
         self._spaces[pid] = space
         return space
-
-    def _handle_fault(self, mapping_id: int) -> int:
-        """Page-fault handler: allocate a frame from the right group."""
-        effective = mapping_id if self.sdam is not None else 0
-        if effective not in self._registered_mappings:
-            raise ProfilingError(
-                f"mapping id {mapping_id} was never registered via add_addr_map"
-            )
-        return self.physical.alloc_frame(effective)
 
     @property
     def spaces(self) -> list[AddressSpace]:
@@ -185,11 +226,7 @@ class Kernel:
         name: str = "",
     ) -> VMArea:
         """mmap with the paper's extra mapping-id argument."""
-        effective = mapping_id if self.sdam is not None else 0
-        if effective not in self._registered_mappings:
-            raise ProfilingError(
-                f"mapping id {mapping_id} was never registered via add_addr_map"
-            )
+        effective = self._driver.effective_mapping(mapping_id)
         return space.mmap(length, mapping_id=effective, name=name)
 
     def sys_munmap(self, space: AddressSpace, vma: VMArea) -> None:

@@ -121,6 +121,20 @@ class TestFilterTrace:
         writeback_mask = out.va == 0
         assert out.is_write[writeback_mask].sum() >= 1
 
+    def test_writeback_carries_the_evicting_access_variable(self):
+        """Variable 7 dirties line 0; variable 9's miss evicts it, so the
+        write-back is tagged 9 (the evicting access), not 7 (the writer)."""
+        cache = make_cache(size=64, ways=1)
+        trace = AccessTrace(
+            va=np.array([0, 64], dtype=np.uint64),
+            is_write=np.array([True, False]),
+            variable=np.array([7, 9]),
+        )
+        out = cache.filter_trace(trace)
+        assert out.va.tolist() == [0, 0, 64]
+        assert out.is_write.tolist() == [True, True, False]
+        assert out.variable.tolist() == [7, 9, 9]
+
 
 @given(
     addresses=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=300),

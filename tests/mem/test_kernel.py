@@ -1,5 +1,9 @@
 """Tests for the kernel: syscalls, CMT driver, fault path."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -117,3 +121,58 @@ class TestSpawn:
     def test_pids_unique(self):
         kernel = sdam_kernel()
         assert kernel.spawn().pid != kernel.spawn().pid
+
+
+class TestLifetime:
+    """The kernel's callbacks never point back at it: no reference cycle."""
+
+    @staticmethod
+    def faulted_kernel() -> Kernel:
+        kernel = sdam_kernel()
+        mapping_id = kernel.add_addr_map(rolled(1))
+        space = kernel.spawn()
+        vma = kernel.sys_mmap(space, 4 * MiB, mapping_id=mapping_id)
+        space.translate_trace(
+            vma.start + np.arange(0, 2 * MiB, 4096, dtype=np.uint64)
+        )
+        return kernel
+
+    def test_freed_by_refcount_alone(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            kernel = self.faulted_kernel()
+            assert kernel.spaces[0].total_faults > 0
+            alive = weakref.ref(kernel)
+            del kernel
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_pickle_round_trip(self):
+        kernel = self.faulted_kernel()
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone.registered_mapping_ids() == kernel.registered_mapping_ids()
+        space = clone.spaces[0]
+        vma = space.vmas[0]
+        assert space.translate(vma.start) == kernel.spaces[0].translate(vma.start)
+        # The clone faults into its own physical memory: the original,
+        # faulting the same page afterwards, gets the same frame.
+        fresh = vma.start + 3 * MiB
+        frame = space.translate(fresh)
+        assert kernel.spaces[0].translate(fresh) == frame
+        chunk = SMALL.chunk_number(frame)
+        assert clone.sdam.cmt.mapping_index_of(chunk) == 1
+        assert clone.physical.mapping_of_chunk(chunk) == 1
+
+    def test_sdam_stays_assignable(self):
+        kernel = Kernel(SMALL, sdam=None)
+        assert kernel.add_addr_map(rolled(1)) == 0
+        kernel.sdam = SDAMController(SMALL)
+        assert kernel.sdam_enabled
+        mapping_id = kernel.add_addr_map(rolled(1))
+        space = kernel.spawn()
+        vma = kernel.sys_mmap(space, MiB, mapping_id=mapping_id)
+        chunk = SMALL.chunk_number(space.translate(vma.start))
+        assert kernel.sdam.cmt.mapping_index_of(chunk) == mapping_id
