@@ -17,9 +17,9 @@ without writing any code:
   ``BENCH_translation.json`` (``--min-speedup`` gates CI); with
   ``--online``, the streaming-BFRV estimator vs windowed batch
   recompute instead, written to ``BENCH_online.json``; with
-  ``--evaluate``, the end-to-end evaluate stage under the chunked
+  ``--evaluate``, the memory stage (decode + timing) under the chunked
   vector backend vs the event-loop reference, written to
-  ``BENCH_evaluate.json`` (``--workers`` shards across channels);
+  ``BENCH_evaluate.json``;
 * ``verify-cache`` — checksum + decode every stage-cache entry,
   quarantining corrupt ones (``--gc`` sweeps tmp debris, and
   ``--purge-quarantine`` empties the quarantine);
@@ -192,8 +192,8 @@ def cmd_suite(args) -> int:
 
 def cmd_bench(args) -> int:
     """Benchmark the translation datapath (or, with ``--online``, the
-    streaming estimator; with ``--evaluate``, the end-to-end evaluate
-    stage); write the JSON report."""
+    streaming estimator; with ``--evaluate``, the memory stage); write
+    the JSON report."""
     import json
 
     if args.tier:
@@ -245,7 +245,6 @@ def cmd_bench(args) -> int:
             seed=args.seed,
             repeats=args.repeats,
             backend=args.backend or "vector",
-            workers=args.workers,
         )
         path = write_report(report, args.out or EVALUATE_REPORT_PATH)
         summary = report["summary_speedup_geomean"]
@@ -254,9 +253,7 @@ def cmd_bench(args) -> int:
         else:
             print(
                 f"evaluate bench: {accesses} accesses, "
-                f"backend {report['backend']}"
-                + (f" x{args.workers} shards" if args.workers else "")
-                + f" -> {path}"
+                f"backend {report['backend']} -> {path}"
             )
             for scenario, cell in report["cells"].items():
                 ev = cell["evaluate"]
@@ -747,7 +744,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_mode.add_argument(
         "--evaluate",
         action="store_true",
-        help="benchmark the end-to-end evaluate stage: chunk-streamed "
+        help="benchmark the memory stage (decode + timing): chunk-streamed "
         "--backend tier vs the event-loop reference "
         "(report goes to BENCH_evaluate.json)",
     )
@@ -761,12 +758,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default=None,
         help="candidate memory backend for --evaluate (default vector)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="channel shards for the --evaluate candidate (0 = in-process)",
     )
     bench.add_argument(
         "--accesses",

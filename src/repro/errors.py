@@ -111,20 +111,6 @@ class RetryExhaustedError(ReproError):
     """A transient failure persisted through every allowed attempt."""
 
 
-class BackendExecutionError(SimulationError):
-    """A memory backend's guarded execution could not be completed.
-
-    Raised when every recovery path for a sharded run — per-shard
-    retries, re-dispatch, shard-granular serial fallback — has been
-    exhausted.  The attached :class:`~repro.hbm.stats.BackendHealth`
-    (``health``) records every degradation attempted on the way down.
-    """
-
-    def __init__(self, message: str, health=None):
-        super().__init__(message)
-        self.health = health
-
-
 class BackendDivergenceError(SimulationError):
     """The runtime divergence guard found a cross-tier mismatch.
 

@@ -8,10 +8,9 @@ Four site families share the namespace of :mod:`repro.faults.sites`:
 * modeled-hardware failures — stuck rows, dead banks, lost channels,
   CMT bit flips, AMU misprogramming — exercised through the
   ``device.*`` family and :class:`repro.ras.DeviceFaultPlan`;
-* guarded backend execution — shard crashes/stalls, corrupted shard
-  stats, forced cross-tier divergence — exercised through the
-  ``backend.*`` family, fired by the same :class:`FaultPlan` inside
-  the shard supervisor and the divergence guard;
+* guarded backend execution — forced cross-tier divergence —
+  exercised through the ``backend.*`` family, fired by the same
+  :class:`FaultPlan` inside the divergence guard;
 * the continuous service front-end — lane crashes, lane stalls, job
   crashes — exercised through the ``service.*`` family, fired by the
   same :class:`FaultPlan` inside the tenant lanes and their

@@ -42,23 +42,10 @@ points:
 backends, injected through the same :class:`~repro.faults.plan.
 FaultPlan` as engine sites (they share its deterministic firing
 machinery).  Unlike engine sites, where the spec's *kind* chooses the
-effect, a backend site *names* its effect; the spec's ``seconds``
-parameterises the stall and the other kinds are advisory:
-
-``backend.shard.crash``
-    The shard supervisor's worker raises mid-shard (a crashed shard);
-    the token is ``shard<index>``.  Recovery: retry with backoff,
-    then shard-granular serial fallback.
-
-``backend.shard.stall``
-    The worker sleeps ``seconds`` before evaluating its shard,
-    driving it past the supervisor's per-shard timeout.  Recovery:
-    the stalled pool is abandoned and the shard re-runs in-process.
-
-``backend.shard.stats``
-    The shard returns a *corrupted* partial ``RunStats`` (counters
-    garbled).  Recovery: the supervisor's merge-time validation
-    rejects it and re-runs the shard in-process.
+effect, a backend site *names* its effect and the kind is advisory.
+Only the divergence guard consults a backend plan, so a tenant that
+carries one must run guarded on a non-``event`` tier
+(:class:`~repro.service.tenant.TenantContext` rejects it otherwise):
 
 ``backend.divergence``
     The divergence guard's sampled primary-tier result is perturbed,
@@ -104,9 +91,6 @@ from fnmatch import fnmatch
 
 __all__ = [
     "BACKEND_DIVERGENCE",
-    "BACKEND_SHARD_CRASH",
-    "BACKEND_SHARD_STALL",
-    "BACKEND_SHARD_STATS",
     "BACKEND_SITES",
     "DEVICE_AMU_MISPROGRAM",
     "DEVICE_CMT_FLIP",
@@ -146,9 +130,6 @@ DEVICE_HBM_CHANNEL = "device.hbm.channel"
 DEVICE_CMT_FLIP = "device.cmt.flip"
 DEVICE_AMU_MISPROGRAM = "device.amu.misprogram"
 
-BACKEND_SHARD_CRASH = "backend.shard.crash"
-BACKEND_SHARD_STALL = "backend.shard.stall"
-BACKEND_SHARD_STATS = "backend.shard.stats"
 BACKEND_DIVERGENCE = "backend.divergence"
 
 SERVICE_LANE_CRASH = "service.lane.crash"
@@ -177,14 +158,9 @@ DEVICE_SITES = (
 )
 
 #: Guarded-execution sites inside the memory backends, checked by the
-#: shard supervisor and the cross-tier divergence guard.  They fire
-#: through the engine :class:`~repro.faults.plan.FaultPlan`.
-BACKEND_SITES = (
-    BACKEND_SHARD_CRASH,
-    BACKEND_SHARD_STALL,
-    BACKEND_SHARD_STATS,
-    BACKEND_DIVERGENCE,
-)
+#: cross-tier divergence guard.  They fire through the engine
+#: :class:`~repro.faults.plan.FaultPlan`.
+BACKEND_SITES = (BACKEND_DIVERGENCE,)
 
 #: Tenant-lane sites inside the continuous service front-end, checked
 #: by the lane loop and the lane supervisor.  They fire through the

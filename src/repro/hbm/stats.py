@@ -50,14 +50,13 @@ class RunStats:
         )
 
     def merge(self, other: "RunStats") -> "RunStats":
-        """Combine stats from disjoint shards of one run.
+        """Combine stats from disjoint parts of one run.
 
         Counters add, per-channel arrays add elementwise, and the
-        makespan takes the max (shards of one run share the time
+        makespan takes the max (parts of one run share the time
         origin).  Lawful: associative, commutative, with
-        :meth:`empty` as identity — so a sharded backend reduces its
-        per-channel partials to the same result for any shard count or
-        reduction order, as long as shards own disjoint channels.
+        :meth:`empty` as identity — so partial reports (per job, per
+        tenant) reduce to the same result in any order.
         """
         if self.num_channels != other.num_channels:
             raise ValueError(
@@ -171,47 +170,28 @@ class BackendHealth:
 
     Like :class:`DeviceHealth` and :class:`RemapTraffic`, deliberately
     separate from the frozen, cache-fingerprinted :class:`RunStats`:
-    health describes *how* a result was obtained (retries, fallbacks,
+    health describes *how* a result was obtained (guard verdicts,
     demotions), never *what* the result is — two runs that degrade
     differently still produce bit-identical stats.
 
-    The shard supervisor and the divergence guard append one entry to
-    ``degradations`` per recovery action, each a dict with at least
-    ``event`` (``"shard-retry"``, ``"shard-timeout"``,
-    ``"shard-stats-rejected"``, ``"serial-shard"``, ``"pool-degraded"``,
-    ``"tier-demoted"``) and ``reason``.  Counters summarise the same
-    events for cheap checks; ``guard`` holds the divergence guard's
-    comparison report when a guard ran.
+    The divergence guard appends one entry to ``degradations`` per
+    recovery action, each a dict with at least ``event`` (e.g.
+    ``"tier-demoted"``) and ``reason``; ``demoted_to`` names the tier a
+    demotion switched to, and ``guard`` holds the guard's comparison
+    report when a guard ran.
     """
 
     backend: str = "vector"
-    workers: int = 0
-    shards: int = 0
-    shard_retries: int = 0
-    shard_timeouts: int = 0
-    stats_rejected: int = 0
-    serial_shards: int = 0
-    pool_degraded: bool = False
     demoted_to: str | None = None
     degradations: list = field(default_factory=list)
     guard: dict | None = None
 
     def record(self, event: str, reason: str, **detail) -> None:
-        """Append one structured degradation event and bump its counter."""
+        """Append one structured degradation event."""
         entry = {"event": event, "reason": reason}
         entry.update(detail)
         self.degradations.append(entry)
-        if event == "shard-retry":
-            self.shard_retries += 1
-        elif event == "shard-timeout":
-            self.shard_timeouts += 1
-        elif event == "shard-stats-rejected":
-            self.stats_rejected += 1
-        elif event == "serial-shard":
-            self.serial_shards += 1
-        elif event == "pool-degraded":
-            self.pool_degraded = True
-        elif event == "tier-demoted":
+        if event == "tier-demoted":
             self.demoted_to = str(detail.get("to", "event"))
 
     @property
@@ -221,27 +201,10 @@ class BackendHealth:
             return False
         return self.guard is None or not self.guard.get("diverged", False)
 
-    @property
-    def sharded(self) -> bool:
-        """True when the process pool actually executed every shard."""
-        return (
-            self.workers > 1
-            and self.shards > 1
-            and not self.pool_degraded
-            and self.serial_shards == 0
-        )
-
     def merge(self, other: "BackendHealth") -> "BackendHealth":
         """Combine health from sequential runs of the same backend."""
         merged = BackendHealth(
             backend=self.backend,
-            workers=max(self.workers, other.workers),
-            shards=self.shards + other.shards,
-            shard_retries=self.shard_retries + other.shard_retries,
-            shard_timeouts=self.shard_timeouts + other.shard_timeouts,
-            stats_rejected=self.stats_rejected + other.stats_rejected,
-            serial_shards=self.serial_shards + other.serial_shards,
-            pool_degraded=self.pool_degraded or other.pool_degraded,
             demoted_to=other.demoted_to or self.demoted_to,
             degradations=list(self.degradations) + list(other.degradations),
             guard=other.guard if other.guard is not None else self.guard,
@@ -252,49 +215,26 @@ class BackendHealth:
         """A JSON-serialisable form."""
         return {
             "backend": self.backend,
-            "workers": self.workers,
-            "shards": self.shards,
-            "shard_retries": self.shard_retries,
-            "shard_timeouts": self.shard_timeouts,
-            "stats_rejected": self.stats_rejected,
-            "serial_shards": self.serial_shards,
-            "pool_degraded": self.pool_degraded,
             "demoted_to": self.demoted_to,
             "degradations": [dict(d) for d in self.degradations],
             "guard": dict(self.guard) if self.guard is not None else None,
             "ok": self.ok,
-            "sharded": self.sharded,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "BackendHealth":
-        """Rebuild health written by :meth:`to_dict`."""
+        """Rebuild health written by :meth:`to_dict`.
+
+        Unknown keys (fields older versions wrote) are ignored, so
+        cache entries written before a field was dropped still load.
+        """
         return cls(
             backend=str(data.get("backend", "vector")),
-            workers=int(data.get("workers", 0)),
-            shards=int(data.get("shards", 0)),
-            shard_retries=int(data.get("shard_retries", 0)),
-            shard_timeouts=int(data.get("shard_timeouts", 0)),
-            stats_rejected=int(data.get("stats_rejected", 0)),
-            serial_shards=int(data.get("serial_shards", 0)),
-            pool_degraded=bool(data.get("pool_degraded", False)),
             demoted_to=data.get("demoted_to"),
             degradations=[dict(d) for d in data.get("degradations", [])],
             guard=(
                 dict(data["guard"]) if data.get("guard") is not None else None
             ),
-        )
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        if self.ok:
-            return f"{self.backend} healthy ({self.shards} shards)"
-        return (
-            f"{self.backend}: {len(self.degradations)} degradation(s) — "
-            f"{self.shard_retries} retries, {self.shard_timeouts} timeouts, "
-            f"{self.stats_rejected} rejected stats, "
-            f"{self.serial_shards} serial shards"
-            + (f", demoted to {self.demoted_to}" if self.demoted_to else "")
         )
 
 
@@ -332,7 +272,7 @@ class RemapTraffic:
         self.migration_ns += float(report.cost_ns)
 
     def merge(self, other: "RemapTraffic") -> "RemapTraffic":
-        """Combine counters from independent campaign shards (all add)."""
+        """Combine counters from independent campaign runs (all add)."""
         return RemapTraffic(
             remaps=self.remaps + other.remaps,
             failed_remaps=self.failed_remaps + other.failed_remaps,

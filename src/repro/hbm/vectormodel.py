@@ -1,4 +1,4 @@
-"""Vectorised + sharded HBM device model — the ``"vector"`` fidelity tier.
+"""Vectorised HBM device model — the ``"vector"`` fidelity tier.
 
 The event-driven :class:`~repro.hbm.device.HBMDevice` is the reference
 model, but its per-request heapq/deque loop is pure Python: after the
@@ -42,42 +42,22 @@ blocks of ``block_accesses`` requests:
 Because every channel is evaluated independently and blocks are formed
 per channel at a fixed size, the result is **bit-identical** however the
 input is chunked (``tests/hbm/test_vectormodel.py`` holds a hypothesis
-property over arbitrary chunkings) and however the channels are sharded
-across worker processes (``workers=N``): shards own disjoint channel
-ranges, return partial :class:`~repro.hbm.stats.RunStats`, and the
-deterministic :meth:`RunStats.merge <repro.hbm.stats.RunStats.merge>`
-reduction runs in fixed channel order.
+property over arbitrary chunkings).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import (
-    BackendExecutionError,
-    ReproError,
-    SimulationError,
-    WorkerCrashError,
-)
-from repro.faults.sites import (
-    BACKEND_SHARD_CRASH,
-    BACKEND_SHARD_STALL,
-    BACKEND_SHARD_STATS,
-)
+from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import DecodedTrace, decode_trace
-from repro.hbm.stats import BackendHealth, RunStats
+from repro.hbm.stats import RunStats
 
 __all__ = ["VectorModel"]
-
-#: Wall-clock budget per shard dispatch round.  Real shards finish in
-#: milliseconds-to-seconds; a worker that blows this budget is treated
-#: as stalled, the pool is abandoned, and the shard re-runs in-process.
-DEFAULT_SHARD_TIMEOUT = 120.0
 
 #: Per-channel block size: large enough to amortise numpy call overhead,
 #: small enough that streaming never holds more than a block per channel.
@@ -97,7 +77,7 @@ class _ChannelLane:
     counters.  ``feed`` buffers requests and flushes complete blocks;
     ``finish`` flushes the tail.  Block boundaries depend only on this
     lane's own request count, which is what makes results invariant to
-    input chunking and channel sharding.
+    input chunking.
     """
 
     def __init__(
@@ -262,22 +242,18 @@ def _run_lanes(
     config: HBMConfig,
     frfcfs_window: int,
     block_accesses: int,
-    channel_ids: np.ndarray,
     stream: Iterable[tuple[DecodedTrace, np.ndarray | None]],
 ) -> RunStats:
-    """Evaluate ``channel_ids``'s substreams; return partial RunStats.
+    """Evaluate every channel's substream; return the raw RunStats.
 
-    The returned stats cover only the given channels (other slots stay
-    zero) and carry the raw per-channel chain makespan — the caller
-    applies the global in-flight floor after merging shards.
+    The makespan is the raw per-channel chain makespan — the caller
+    applies the global in-flight floor.
     """
     num_channels = config.num_channels
-    lanes = {
-        int(c): _ChannelLane(config, frfcfs_window, block_accesses)
-        for c in channel_ids
-    }
-    lo = int(channel_ids.min()) if channel_ids.size else 0
-    hi = int(channel_ids.max()) + 1 if channel_ids.size else 0
+    lanes = [
+        _ChannelLane(config, frfcfs_window, block_accesses)
+        for _ in range(num_channels)
+    ]
     for decoded, forced in stream:
         m = len(decoded)
         if m == 0:
@@ -291,12 +267,9 @@ def _run_lanes(
             forced_s = np.zeros(m, dtype=bool)
         else:
             forced_s = np.asarray(forced, dtype=bool)[order]
-        bounds = np.searchsorted(channel_s, np.arange(lo, hi + 1))
-        for c in range(lo, hi):
-            lane = lanes.get(c)
-            if lane is None:
-                continue
-            left, right = bounds[c - lo], bounds[c - lo + 1]
+        bounds = np.searchsorted(channel_s, np.arange(num_channels + 1))
+        for c, lane in enumerate(lanes):
+            left, right = bounds[c], bounds[c + 1]
             if left < right:
                 lane.feed(
                     bank_s[left:right],
@@ -307,8 +280,7 @@ def _run_lanes(
     per_channel_busy = np.zeros(num_channels, dtype=np.float64)
     requests = hits = misses = 0
     makespan = 0.0
-    for c in sorted(lanes):
-        lane = lanes[c]
+    for c, lane in enumerate(lanes):
         lane.finish()
         per_channel_requests[c] = lane.served
         per_channel_busy[c] = lane.busy_ns
@@ -328,40 +300,8 @@ def _run_lanes(
     )
 
 
-def _shard_task(args) -> RunStats:
-    """Worker entry: evaluate one contiguous channel range."""
-    (config, frfcfs_window, block, channel_ids, channel, bank, row, forced) = args
-    decoded = DecodedTrace(
-        channel=channel,
-        bank=bank,
-        row=row,
-        column=np.zeros(channel.size, dtype=np.int64),
-        global_bank=np.zeros(channel.size, dtype=np.int64),
-    )
-    return _run_lanes(
-        config, frfcfs_window, block, channel_ids, [(decoded, forced)]
-    )
-
-
 class VectorModel:
-    """Vectorised multi-channel memory device (the ``"vector"`` tier).
-
-    ``workers > 1`` shards the independent channels across a process
-    pool; results are bit-identical to the serial path because every
-    channel's evaluation depends only on its own substream and the
-    shard reduction merges partial stats in fixed channel order.
-
-    Sharded execution is *supervised*: shards are submitted
-    individually, bounded by ``shard_timeout``, retried with backoff
-    under ``retry`` (a :class:`~repro.system.runner.RetryPolicy`), and
-    degraded shard-by-shard to in-process evaluation when the pool is
-    broken, a worker stalls, or retries are exhausted.  Every rung of
-    that ladder is recorded in ``last_health`` (a
-    :class:`~repro.hbm.stats.BackendHealth`) — nothing degrades
-    silently.  ``faults`` accepts a
-    :class:`~repro.faults.FaultPlan` whose ``backend.shard.*`` sites
-    deterministically exercise each recovery path.
-    """
+    """Vectorised multi-channel memory device (the ``"vector"`` tier)."""
 
     def __init__(
         self,
@@ -369,26 +309,15 @@ class VectorModel:
         max_inflight: int = 64,
         frfcfs_window: int = 8,
         block_accesses: int = DEFAULT_BLOCK_ACCESSES,
-        workers: int = 0,
-        shard_timeout: float = DEFAULT_SHARD_TIMEOUT,
-        retry=None,
-        faults=None,
     ):
         if max_inflight < 1:
             raise SimulationError("max_inflight must be >= 1")
         if block_accesses < 1:
             raise SimulationError("block_accesses must be >= 1")
-        if shard_timeout <= 0:
-            raise SimulationError("shard_timeout must be > 0")
         self.config = config
         self.max_inflight = max_inflight
         self.frfcfs_window = frfcfs_window
         self.block_accesses = block_accesses
-        self.workers = workers
-        self.shard_timeout = shard_timeout
-        self.retry = retry
-        self.faults = faults
-        self.last_health: BackendHealth | None = None
 
     # -- entry points -------------------------------------------------------
     def simulate(self, ha: np.ndarray) -> RunStats:
@@ -417,383 +346,22 @@ class VectorModel:
                     "forced_miss requires a whole DecodedTrace, not chunks"
                 )
             stream = ((chunk, None) for chunk in decoded)
-        self.last_health = BackendHealth(
-            backend="vector", workers=int(self.workers or 0)
-        )
-        if self.workers and self.workers > 1:
-            merged = self._simulate_sharded(stream)
-        else:
-            merged = _run_lanes(
-                self.config,
-                self.frfcfs_window,
-                self.block_accesses,
-                np.arange(self.config.num_channels),
-                stream,
+        return self._finalize(
+            _run_lanes(
+                self.config, self.frfcfs_window, self.block_accesses, stream
             )
-        return self._finalize(merged)
+        )
 
     # -- pieces -------------------------------------------------------------
-    def _finalize(self, merged: RunStats) -> RunStats:
+    def _finalize(self, stats: RunStats) -> RunStats:
         """Apply the global in-flight window as a Little's-law floor."""
-        if merged.requests == 0:
-            return merged
+        if stats.requests == 0:
+            return stats
         total_cost = (
-            merged.row_hits * self.config.effective_t_burst_ns
-            + merged.row_misses * self.config.effective_t_row_miss_ns
+            stats.row_hits * self.config.effective_t_burst_ns
+            + stats.row_misses * self.config.effective_t_row_miss_ns
         )
         floor = total_cost / self.max_inflight
-        if floor > merged.makespan_ns:
-            merged = replace(merged, makespan_ns=floor)
-        return merged
-
-    def _simulate_sharded(self, stream) -> RunStats:
-        """Fan channel ranges out to a process pool and merge in order."""
-        num_channels = self.config.num_channels
-        shards = min(self.workers, num_channels)
-        ranges = np.array_split(np.arange(num_channels), shards)
-        # Collect each shard's substream (channel-partitioned arrays);
-        # the full decoded trace still never materialises in one array.
-        parts: list[list[tuple[np.ndarray, ...]]] = [[] for _ in ranges]
-        for decoded, forced in stream:
-            m = len(decoded)
-            if m == 0:
-                continue
-            channel = np.asarray(decoded.channel)
-            order = np.argsort(channel, kind="stable")
-            channel_s = channel[order]
-            bank_s = np.asarray(decoded.bank)[order]
-            row_s = np.asarray(decoded.row)[order]
-            if forced is None:
-                forced_s = np.zeros(m, dtype=bool)
-            else:
-                forced_s = np.asarray(forced, dtype=bool)[order]
-            edges = [int(r[0]) for r in ranges] + [num_channels]
-            bounds = np.searchsorted(channel_s, edges)
-            for index in range(shards):
-                left, right = bounds[index], bounds[index + 1]
-                if left < right:
-                    parts[index].append(
-                        (
-                            channel_s[left:right],
-                            bank_s[left:right],
-                            row_s[left:right],
-                            forced_s[left:right],
-                        )
-                    )
-        tasks = []
-        for index, channel_ids in enumerate(ranges):
-            chunks = parts[index]
-            if chunks:
-                arrays = [
-                    np.concatenate([chunk[f] for chunk in chunks])
-                    for f in range(4)
-                ]
-            else:
-                arrays = [
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=bool),
-                ]
-            tasks.append(
-                (
-                    self.config,
-                    self.frfcfs_window,
-                    self.block_accesses,
-                    channel_ids,
-                    *arrays,
-                )
-            )
-        results = self._map_shards(tasks)
-        merged = results[0]
-        for partial in results[1:]:
-            merged = merged.merge(partial)
-        return merged
-
-    # -- shard supervision ---------------------------------------------------
-    def _retry_policy(self):
-        """The supervisor's retry policy (default: the runner's)."""
-        if self.retry is not None:
-            return self.retry
-        # Lazy import: repro.system.runner transitively imports this
-        # module through the backend registry.
-        from repro.system.runner import RetryPolicy
-
-        return RetryPolicy()
-
-    def _shard_fault(self, site: str, index: int, attempt: int):
-        """The injected-fault spec for one shard event, if any fires."""
-        if self.faults is None:
-            return None
-        return self.faults.should_fire(site, f"shard{index}", attempt)
-
-    @staticmethod
-    def _validate_shard(task, stats: RunStats) -> str | None:
-        """Merge-time sanity check on one shard's partial stats.
-
-        Returns a rejection reason, or ``None`` when the partial is
-        internally consistent with the substream the shard was given.
-        A rejected partial is never merged — the shard is re-run.
-        """
-        config, _, _, _, channel, _, _, _ = task
-        expected = int(channel.size)
-        if stats.requests != expected:
-            return (
-                f"shard reported {stats.requests} requests for a "
-                f"{expected}-request substream"
-            )
-        if stats.num_channels != config.num_channels:
-            return (
-                f"shard reported {stats.num_channels} channels, "
-                f"expected {config.num_channels}"
-            )
-        if stats.row_hits + stats.row_misses != stats.requests:
-            return (
-                f"hits ({stats.row_hits}) + misses ({stats.row_misses}) "
-                f"!= requests ({stats.requests})"
-            )
-        if int(stats.per_channel_requests.sum()) != expected:
-            return "per-channel request counts do not sum to the substream"
-        if not np.isfinite(stats.makespan_ns) or stats.makespan_ns < 0:
-            return f"non-finite or negative makespan {stats.makespan_ns!r}"
-        return None
-
-    def _check_shard_result(
-        self, index: int, task, stats: RunStats, attempt: int, health
-    ) -> RunStats:
-        """Apply injected crash/corrupt faults, then validate.
-
-        Raises :class:`WorkerCrashError` when the result must be
-        discarded (the shard is then re-dispatched by the caller).
-        """
-        crash = self._shard_fault(BACKEND_SHARD_CRASH, index, attempt)
-        if crash is not None:
-            raise WorkerCrashError(
-                f"{crash.message} [{BACKEND_SHARD_CRASH} shard{index}]"
-            )
-        corrupt = self._shard_fault(BACKEND_SHARD_STATS, index, attempt)
-        if corrupt is not None:
-            # Model a worker returning garbled partials: an off-by-one
-            # request count that the merge-time validation must catch.
-            stats = replace(stats, requests=stats.requests + 1)
-        problem = self._validate_shard(task, stats)
-        if problem is not None:
-            health.record(
-                "shard-stats-rejected", problem, shard=index, attempt=attempt
-            )
-            raise WorkerCrashError(
-                f"shard {index} returned corrupted stats: {problem}"
-            )
+        if floor > stats.makespan_ns:
+            stats = replace(stats, makespan_ns=floor)
         return stats
-
-    def _run_shard_inline(
-        self, index: int, task, attempt: int, health, retry
-    ) -> RunStats:
-        """Serial fallback: evaluate one shard in-process, supervised.
-
-        The last rung of the degradation ladder — still retried under
-        the policy, and still validated.  A failure that survives every
-        attempt raises :class:`BackendExecutionError` carrying the full
-        health record.
-        """
-        while True:
-            try:
-                stall = self._shard_fault(BACKEND_SHARD_STALL, index, attempt)
-                if stall is not None:
-                    health.record(
-                        "shard-timeout",
-                        f"injected stall ({stall.seconds}s): {stall.message}",
-                        shard=index,
-                        attempt=attempt,
-                    )
-                    raise WorkerCrashError(
-                        f"shard {index} stalled past {self.shard_timeout}s"
-                    )
-                stats = self._check_shard_result(
-                    index, task, _shard_task(task), attempt, health
-                )
-                return stats
-            except ReproError as error:
-                name = type(error).__name__
-                if retry.should_retry(name, attempt):
-                    health.record(
-                        "shard-retry",
-                        f"{name}: {error}",
-                        shard=index,
-                        attempt=attempt,
-                        where="inline",
-                    )
-                    time.sleep(retry.delay(attempt))
-                    attempt += 1
-                    continue
-                raise BackendExecutionError(
-                    f"shard {index} failed beyond recovery: {error}",
-                    health=health,
-                ) from error
-
-    def _map_shards(self, tasks) -> list[RunStats]:
-        """Supervised shard execution: pool, timeouts, retries, serial.
-
-        The ladder, every rung recorded in ``last_health``:
-
-        1. submit each shard individually to a process pool;
-        2. a shard that crashes (or returns rejected stats) is
-           re-dispatched alone with backoff, per the retry policy;
-        3. a shard that exceeds ``shard_timeout`` — or an injected
-           ``backend.shard.stall`` — abandons the pool (a stalled
-           worker cannot be cancelled) and falls through to rung 4;
-        4. shards the pool could not complete are evaluated in-process
-           (shard-granular serial fallback), still retried/validated;
-        5. a shard that fails even in-process raises
-           :class:`BackendExecutionError` with the health record.
-
-        Results are bit-identical across all rungs by construction.
-        """
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        health = self.last_health
-        if health is None:
-            health = self.last_health = BackendHealth(
-                backend="vector", workers=int(self.workers or 0)
-            )
-        health.shards += len(tasks)
-        retry = self._retry_policy()
-        n = len(tasks)
-        results: list[RunStats | None] = [None] * n
-        attempts = [1] * n
-        pending = list(range(n))
-
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(max_workers=n)
-        except (BrokenProcessPool, OSError, NotImplementedError) as error:
-            # Constrained environments (no fork, no semaphores) cannot
-            # host a pool at all; anything else — e.g. the ValueError a
-            # bad max_workers raises — is a real bug and propagates.
-            health.record(
-                "pool-degraded", f"{type(error).__name__}: {error}"
-            )
-
-        while pool is not None and pending:
-            submitted = {}
-            round_failed: list[tuple[int, BaseException]] = []
-            timed_out: list[int] = []
-            abandon = False
-            for i in list(pending):
-                stall = self._shard_fault(
-                    BACKEND_SHARD_STALL, i, attempts[i]
-                )
-                if stall is not None:
-                    health.record(
-                        "shard-timeout",
-                        f"injected stall ({stall.seconds}s): {stall.message}",
-                        shard=i,
-                        attempt=attempts[i],
-                    )
-                    timed_out.append(i)
-                    abandon = True
-                    continue
-                try:
-                    submitted[pool.submit(_shard_task, tasks[i])] = i
-                except (BrokenProcessPool, OSError, RuntimeError) as error:
-                    health.record(
-                        "pool-degraded",
-                        f"submit failed: {type(error).__name__}: {error}",
-                        shard=i,
-                    )
-                    timed_out.append(i)
-                    abandon = True
-            deadline = time.monotonic() + self.shard_timeout
-            not_done = set(submitted)
-            while not_done:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                done, not_done = wait(
-                    not_done, timeout=remaining, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    i = submitted[future]
-                    error = future.exception()
-                    if error is None:
-                        try:
-                            results[i] = self._check_shard_result(
-                                i, tasks[i], future.result(), attempts[i],
-                                health,
-                            )
-                            continue
-                        except ReproError as check_error:
-                            error = check_error
-                    if isinstance(error, BrokenProcessPool):
-                        abandon = True
-                    round_failed.append((i, error))
-            for future in not_done:
-                i = submitted[future]
-                health.record(
-                    "shard-timeout",
-                    f"no result within {self.shard_timeout}s",
-                    shard=i,
-                    attempt=attempts[i],
-                )
-                timed_out.append(i)
-                abandon = True
-
-            next_round: list[int] = []
-            for i, error in round_failed:
-                name = type(error).__name__
-                if retry.should_retry(name, attempts[i]):
-                    health.record(
-                        "shard-retry",
-                        f"{name}: {error}",
-                        shard=i,
-                        attempt=attempts[i],
-                        where="pool",
-                    )
-                    time.sleep(retry.delay(attempts[i]))
-                    attempts[i] += 1
-                    next_round.append(i)
-                else:
-                    health.record(
-                        "serial-shard",
-                        f"retries exhausted in pool ({name}: {error})",
-                        shard=i,
-                    )
-                    # Falls through to the serial rung below via pending.
-            for i in timed_out:
-                attempts[i] += 1
-            if abandon:
-                # A stalled or broken worker cannot be reclaimed —
-                # abandon the whole pool and finish the remaining
-                # shards in-process.
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-                if not any(
-                    d.get("event") == "pool-degraded"
-                    for d in health.degradations
-                ):
-                    health.record(
-                        "pool-degraded",
-                        "pool abandoned after stall/crash; remaining "
-                        "shards run in-process",
-                    )
-                break
-            pending = next_round
-
-        if pool is not None:
-            pool.shutdown()
-        for i in range(n):
-            if results[i] is None:
-                if not any(
-                    d.get("event") == "serial-shard" and d.get("shard") == i
-                    for d in health.degradations
-                ):
-                    health.record(
-                        "serial-shard",
-                        "shard evaluated in-process (pool unavailable)",
-                        shard=i,
-                    )
-                results[i] = self._run_shard_inline(
-                    i, tasks[i], attempts[i], health, retry
-                )
-        return results

@@ -8,9 +8,10 @@ checks the acceptance property from six directions:
    concurrent N-tenant run is bit-identical to the same tenant's solo
    run (same admissions, only that tenant's traffic submitted).
 2. **Fault isolation** — re-run the concurrent leg with one tenant's
-   backend deliberately faulted (``backend.shard.crash`` against its
-   sharded vector pool): every *other* tenant's fingerprint AND health
-   journal must be bit-identical to the clean concurrent leg.
+   guarded backend deliberately faulted (an injected
+   ``backend.divergence`` that demotes it to the event tier): every
+   *other* tenant's fingerprint AND health journal must be
+   bit-identical to the clean concurrent leg.
 3. **Controller isolation** — per-tenant adaptive and RAS campaigns run
    solo and then concurrently on threads; their campaign fingerprints
    must match.
@@ -47,7 +48,7 @@ from repro.errors import (
     TenantQuarantinedError,
 )
 from repro.faults import FaultPlan
-from repro.faults.sites import BACKEND_SHARD_CRASH, SERVICE_LANE_CRASH
+from repro.faults.sites import BACKEND_DIVERGENCE, SERVICE_LANE_CRASH
 from repro.service.frontend import ServiceFrontend
 from repro.service.registry import TenantSpec
 from repro.service.service import MappingService, ServiceReport
@@ -55,10 +56,6 @@ from repro.service.tenant import SharedArtifacts
 from repro.workloads.synthetic import MixedStrideWorkload, StridedCopyWorkload
 
 __all__ = ["ServiceCampaignResult", "run_service_campaign"]
-
-#: Vector-tier worker count for the deliberately-faulted tenant: the
-#: crash site lives in the shard supervisor, so the pool must be real.
-_FAULTY_WORKERS = 2
 
 
 @dataclass
@@ -142,31 +139,29 @@ def _tenant_specs(
 ) -> list[TenantSpec]:
     """Deterministic tenant population: mixed systems, distinct seeds.
 
-    ``faulty`` names the tenant whose vector backend gets a live shard
-    pool plus an injected ``backend.shard.crash`` — the fault-isolation
-    leg's aggressor.  It stays on the vector tier regardless of
-    ``backend``: the shard-crash fault site only exists there.
+    ``faulty`` names the tenant whose backend runs under the divergence
+    guard with an injected ``backend.divergence`` — the fault-isolation
+    leg's aggressor, demoted to the event tier.  It stays on the vector
+    tier regardless of ``backend``: the guard does not wrap ``event``.
     """
     systems = ["sdm_bsm_ml4", "sdm_bsm", "bs_dm", "sdm_bsm_ml4"]
     specs = []
     for index in range(count):
         name = f"tenant{index}"
-        options: dict = {}
-        faults = None
-        tenant_backend = backend
-        if name == faulty:
-            tenant_backend = "vector"
-            options = {"workers": _FAULTY_WORKERS}
-            faults = FaultPlan.single(BACKEND_SHARD_CRASH, times=1)
+        aggressor = name == faulty
         specs.append(
             TenantSpec(
                 name=name,
                 system=systems[index % len(systems)],
                 quota=5,
                 seed=seed + index,
-                backend=tenant_backend,
-                backend_options=options,
-                backend_faults=faults,
+                backend="vector" if aggressor else backend,
+                guard=aggressor,
+                backend_faults=(
+                    FaultPlan.single(BACKEND_DIVERGENCE, times=1)
+                    if aggressor
+                    else None
+                ),
             )
         )
     return specs

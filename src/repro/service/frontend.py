@@ -26,9 +26,6 @@ with the serving loop the ROADMAP's SDAM-as-a-service north star needs:
   ``service.*`` faults), strikes, restarts lanes from the last good
   :class:`~repro.service.tenant.TenantContext`, quarantines tenants
   after ``max_strikes``, and restores them after probation.
-* **Graceful degradation** — sustained shedding demotes a tenant's
-  sharded vector backend to serial execution (``workers=0``), which
-  changes scheduling, never results.
 
 Lane threads discard work across restarts with *generation tokens*:
 every restart bumps ``lane.generation``; a stale thread notices and
@@ -157,8 +154,6 @@ class _TenantLane:
         self.quarantined_until: float | None = None
         self.results: list = []
         self.closing = False
-        self.sheds = 0
-        self.demoted = False
 
     def idle(self) -> bool:
         with self.lock:
@@ -184,7 +179,6 @@ class ServiceFrontend:
         faults=None,
         max_strikes: int = 3,
         quarantine_s: float = 0.05,
-        demote_after_sheds: int | None = None,
         supervise_interval_s: float = 0.005,
         retry_after_s: float = 0.05,
     ):
@@ -202,12 +196,11 @@ class ServiceFrontend:
         self.deadline_s = deadline_s
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
-        self.demote_after_sheds = demote_after_sheds
         self.retry_after_s = retry_after_s
         self._clock = time.monotonic
         self._lanes: dict[str, _TenantLane] = {}
         self._lanes_lock = threading.RLock()
-        #: Serialises registry mutation (admit/evict/rebuild/amend) —
+        #: Serialises registry mutation (admit/evict/rebuild) —
         #: the supervisor restores quarantined tenants from its monitor
         #: thread while the caller may be admitting on another.
         self._registry_lock = threading.RLock()
@@ -347,57 +340,22 @@ class ServiceFrontend:
                     tenant=tenant,
                     until_s=until,
                 )
-            if len(lane.queue) >= self.queue_depth:
-                lane.sheds += 1
-                sheds = lane.sheds
-                self.health.record(
-                    "job-shed",
-                    tenant,
-                    f"lane queue full ({self.queue_depth} deep)",
-                    workload=workload.name,
-                )
-            else:
+            if len(lane.queue) < self.queue_depth:
                 self.health.note_submitted()
                 lane.queue.append(job)
                 lane.ready.notify_all()
                 return handle
-        # Shed path continues outside the lane lock: demotion rebuilds
-        # the tenant context, which must not nest inside lane.lock.
-        if (
-            self.demote_after_sheds is not None
-            and sheds >= self.demote_after_sheds
-            and not lane.demoted
-        ):
-            self._demote(tenant, lane)
+            self.health.record(
+                "job-shed",
+                tenant,
+                f"lane queue full ({self.queue_depth} deep)",
+                workload=workload.name,
+            )
         raise ServiceOverloadError(
             f"tenant {tenant!r} lane queue is full "
             f"({self.queue_depth} jobs deep); retry later",
             tenant=tenant,
             retry_after_s=self.retry_after_s,
-        )
-
-    def _demote(self, tenant: str, lane: _TenantLane) -> None:
-        """Graceful degradation: sharded vector -> serial execution.
-
-        Execution knobs (``workers``) change scheduling, never results
-        (PR-7 shard determinism), so demotion is invisible in the
-        fingerprints and visible only in the health journal.
-        """
-        lane.demoted = True
-        with self._registry_lock:
-            if tenant not in self.registry:
-                return
-            spec = self.registry.spec(tenant)
-            options = dict(spec.backend_options or {})
-            if options.get("workers", 0) == 0:
-                return  # already serial: nothing to shed
-            options["workers"] = 0
-            self.registry.amend(tenant, backend_options=options)
-        self.health.record(
-            "pressure-demoted",
-            tenant,
-            "sustained overload: sharded backend demoted to serial",
-            sheds=lane.sheds,
         )
 
     # -- the lane worker ------------------------------------------------------

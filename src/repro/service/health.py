@@ -20,7 +20,7 @@ Design rules, shared with the other health types:
   runs can gate on it.
 * **Merge laws** — like :class:`~repro.hbm.stats.BackendHealth`:
   counters add, journals concatenate in order, :meth:`empty` is the
-  identity and merging is associative, so per-tenant or per-shard
+  identity and merging is associative, so per-tenant or per-lane
   health reduces to one service-wide record in any grouping.
 """
 
@@ -48,7 +48,6 @@ _EVENT_COUNTERS = {
     "tenant-preempted": "preemptions",
     "quota-reclaimed": "reclaims",
     "admission-trimmed": "trims",
-    "pressure-demoted": "demotions",
 }
 
 
@@ -77,7 +76,6 @@ class ServiceHealth:
     preemptions: int = 0
     reclaims: int = 0
     trims: int = 0
-    demotions: int = 0
     events: list = field(default_factory=list)
     # Lanes record concurrently; every mutation is serialised here.
     _lock: threading.RLock = field(
@@ -177,7 +175,6 @@ class ServiceHealth:
             preemptions=self.preemptions + other.preemptions,
             reclaims=self.reclaims + other.reclaims,
             trims=self.trims + other.trims,
-            demotions=self.demotions + other.demotions,
             events=list(self.events) + list(other.events),
         )
 
@@ -206,7 +203,6 @@ class ServiceHealth:
             "preemptions": self.preemptions,
             "reclaims": self.reclaims,
             "trims": self.trims,
-            "demotions": self.demotions,
             "events": [dict(e) for e in self.events],
             "ok": self.ok,
             "conserved": self.conserved(),
@@ -222,7 +218,7 @@ class ServiceHealth:
                 "submitted", "completed", "failed", "retried", "timeouts",
                 "shed", "dropped", "rejected", "lane_crashes",
                 "lane_restarts", "lane_abandonments", "quarantines",
-                "restores", "preemptions", "reclaims", "trims", "demotions",
+                "restores", "preemptions", "reclaims", "trims",
             )
         }
         return cls(

@@ -36,7 +36,6 @@ construction.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,7 +150,7 @@ class TenantRegistry:
         """Return a slice to the free pool, coalescing neighbours.
 
         Coalescing matters under churn: hundreds of admit/evict cycles
-        must not fragment the table into unusable single-slot shards.
+        must not fragment the table into unusable single-slot slivers.
         A free range that reaches the bump frontier folds back into it.
         """
         if capacity < 1:
@@ -348,6 +347,9 @@ class TenantRegistry:
                 f"unknown priority {spec.priority!r}; "
                 f"expected one of {PRIORITIES}"
             )
+        # Validate the spec, backend options included, before any
+        # pressure valve reclaims or preempts on its behalf.
+        self._build_context(spec, None).check_backend()
         namespace = self._admit_namespace(spec)
         context = self._build_context(spec, namespace)
         self._tenants[spec.name] = context
@@ -376,26 +378,6 @@ class TenantRegistry:
             raise ConfigError(f"tenant {name!r} is not admitted")
         context = self._build_context(spec, self._tenants[name].namespace)
         self._tenants[name] = context
-        return context
-
-    def amend(self, tenant: str, **changes) -> TenantContext:
-        """Replace parts of a tenant's spec and rebuild its context.
-
-        The namespace is kept; only the spec fields named in
-        ``changes`` move (the graceful-degradation path amends
-        ``backend_options`` to demote a sharded backend to serial —
-        execution knobs never change results, so the amended tenant
-        stays bit-identical to its solo run).
-        """
-        spec = self._specs.get(tenant)
-        if spec is None:
-            raise ConfigError(f"tenant {tenant!r} is not admitted")
-        amended = dataclasses.replace(spec, **changes)
-        if amended.name != tenant:
-            raise ConfigError("amend cannot rename a tenant")
-        context = self._build_context(amended, self._tenants[tenant].namespace)
-        self._specs[tenant] = amended
-        self._tenants[tenant] = context
         return context
 
     # -- lookups -------------------------------------------------------------

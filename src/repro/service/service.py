@@ -6,13 +6,13 @@
 namespaces over shared immutable artifacts), submit workload jobs, and
 ``drain()`` schedules every tenant's lane concurrently.  Within a lane
 jobs run in submission order and each job streams its decoded trace
-chunk-by-chunk into that tenant's own backend instance (the sharded
-vector tier by default) — per-tenant streams stay ordered, which is
+chunk-by-chunk into that tenant's own backend instance (the vector
+tier by default) — per-tenant streams stay ordered, which is
 what makes every tenant's result bit-identical to a solo run no matter
 how lanes interleave.
 
 Per-tenant :class:`~repro.hbm.stats.RunStats` and
-:class:`~repro.hbm.stats.BackendHealth` are folded with the PR-7 merge
+:class:`~repro.hbm.stats.BackendHealth` are folded with their merge
 laws into service-level aggregates, and the report carries deterministic
 per-tenant fingerprints plus the shared plan-cache counters — the
 evidence that tenants shared compiled plans without sharing anything
@@ -163,7 +163,7 @@ class MappingService:
 
     ``max_workers`` bounds how many tenant lanes run at once (default:
     one thread per tenant with queued work).  Tenants default to the
-    sharded vector backend the deployment's shared artifacts name.
+    vector backend the deployment's shared artifacts name.
     """
 
     def __init__(

@@ -140,11 +140,6 @@ class TenantContext:
     artifacts.
     """
 
-    #: VectorModel execution knobs that must not leak into the guard's
-    #: single-process replay instances (they change *how* a result is
-    #: computed, never *what* it is).
-    _EXECUTION_OPTIONS = ("workers", "shard_timeout", "retry", "faults")
-
     # Major-variable coverage for clustered selection.  The paper's 80%
     # rule identifies majors in real applications with thousands of
     # variables; our Table-1 models *are* the majors by construction,
@@ -205,6 +200,15 @@ class TenantContext:
         if guard_sample is not None and not (0.0 < guard_sample <= 1.0):
             raise ConfigError("guard_sample must be in (0, 1]")
         self.guard = bool(guard)
+        if backend_faults is not None and (
+            not self.guard or backend == "event"
+        ):
+            # Only the divergence guard consults a backend fault plan,
+            # and the event tier runs unguarded: such a plan never fires.
+            raise ConfigError(
+                "backend_faults fire only inside the divergence guard; "
+                "pass guard=True with a backend other than 'event'"
+            )
         self.guard_sample = guard_sample
         self.guard_mode = guard_mode
         self.backend_faults = backend_faults
@@ -216,28 +220,30 @@ class TenantContext:
         self.namespace = namespace
 
     # -- building blocks -----------------------------------------------------
+    def check_backend(self) -> None:
+        """Build the backend once, so options it rejects fail here.
+
+        Raises :class:`~repro.errors.ConfigError` naming the option when
+        the backend's constructor does not accept ``backend_options``.
+        """
+        try:
+            self._memory()
+        except TypeError as error:
+            raise ConfigError(
+                f"tenant {self.name!r}: backend {self.backend!r} rejects "
+                f"backend_options {sorted(self.backend_options)}: {error}"
+            ) from error
+
     def _memory(self) -> MemoryBackend:
-        options = dict(self.backend_options)
-        if (
-            self.backend == "vector"
-            and self.backend_faults is not None
-            and "faults" not in options
-        ):
-            options["faults"] = self.backend_faults
+        max_inflight = self.engine.max_inflight
         backend = create_backend(
             self.backend,
             self.hbm,
-            max_inflight=self.engine.max_inflight,
-            **options,
+            max_inflight=max_inflight,
+            **self.backend_options,
         )
         if not self.guard or self.backend == "event":
             return backend
-        replay_options = {
-            key: value
-            for key, value in self.backend_options.items()
-            if key not in self._EXECUTION_OPTIONS
-        }
-        max_inflight = self.engine.max_inflight
         if self.backend == "tiered":
             # Guard a tiered primary against a tiered reference that
             # shares the tier semantics (placement, policy, slow tier)
@@ -249,7 +255,7 @@ class TenantContext:
                 "tiered",
                 self.hbm,
                 max_inflight=max_inflight,
-                **{**replay_options, "delegate": "event"},
+                **{**self.backend_options, "delegate": "event"},
             )
         else:
             reference_name = "event"
@@ -262,7 +268,7 @@ class TenantContext:
                 self.backend,
                 self.hbm,
                 max_inflight=max_inflight,
-                **replay_options,
+                **self.backend_options,
             ),
             reference_factory=reference_factory,
             primary_name=self.backend,

@@ -282,18 +282,18 @@ def run_evaluate_benchmark(
     config: HBMConfig | None = None,
     scenarios: tuple[str, ...] = SCENARIOS,
     backend: str = "vector",
-    workers: int = 0,
     chunk_accesses: int = 1 << 16,
 ) -> dict:
-    """Time end-to-end ``evaluate`` under the event reference vs ``backend``.
+    """Time the memory stage (decode + timing): event reference vs ``backend``.
 
     The companion of :func:`run_benchmark` for the memory-model wall:
     the *baseline* is the pre-vectorization event-loop evaluate
     (fused translate+decode feeding :class:`~repro.hbm.device.
     HBMDevice`), the *candidate* is the chunk-streamed ``backend`` tier
-    (``"vector"`` by default, optionally channel-sharded over
-    ``workers`` processes).  The headline number — the acceptance gate —
-    is ``summary_speedup_geomean.evaluate``.
+    (``"vector"`` by default).  The trace is a synthetic random-PA
+    stream: no workload, caches or page table run, so this is a stage
+    bench, not an end-to-end one.  The headline number — the acceptance
+    gate — is ``summary_speedup_geomean.evaluate``.
 
     Each cell also records a calibration block (makespan ratio,
     throughput ratio, row-hit-rate delta of candidate vs event) so the
@@ -312,10 +312,7 @@ def run_evaluate_benchmark(
         * np.uint64(line)
     )
     baseline_model = create_backend("event", config, max_inflight=64)
-    candidate_kwargs: dict = {"max_inflight": 64}
-    if workers:
-        candidate_kwargs["workers"] = workers
-    candidate_model = create_backend(backend, config, **candidate_kwargs)
+    candidate_model = create_backend(backend, config, max_inflight=64)
     cells: dict[str, dict] = {}
     for scenario in scenarios:
         translator = _build_translator(scenario, config, pa, seed)
@@ -361,30 +358,10 @@ def run_evaluate_benchmark(
             )
         )
     )
-    health = getattr(candidate_model, "last_health", None)
-    sharded = bool(health.sharded) if health is not None else False
-    if workers and not sharded:
-        import warnings
-
-        detail = (
-            health.summary()
-            if health is not None
-            else "backend reported no health record"
-        )
-        warnings.warn(
-            f"bench --workers {workers} asked for sharded execution but "
-            f"the run degraded ({detail}); the recorded numbers measure "
-            "the fallback path, not the worker pool",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return {
         "schema": 1,
-        "benchmark": "end-to-end-evaluate",
+        "benchmark": "memory-stage-evaluate",
         "backend": backend,
-        "workers": int(workers),
-        "sharded": sharded,
-        "backend_health": health.to_dict() if health is not None else None,
         "chunk_accesses": int(chunk_accesses),
         "accesses": int(accesses),
         "seed": int(seed),

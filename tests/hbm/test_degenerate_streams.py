@@ -2,10 +2,9 @@
 
 Empty iterables, zero-length chunks and one-request-per-chunk streams
 are all legal inputs to ``simulate_decoded`` — they fall out naturally
-from short traces, trailing partial windows, and the supervisor's
-shard splitting — and every tier must handle them identically to the
-equivalent whole trace (or, for an empty stream, return all-zero
-stats rather than crash).
+from short traces and trailing partial windows — and every tier must
+handle them identically to the equivalent whole trace (or, for an empty
+stream, return all-zero stats rather than crash).
 """
 
 import numpy as np
@@ -151,22 +150,3 @@ class TestIterDecodedChunks:
                     _trace(8), self._translator(), CONFIG, 0
                 )
             )
-
-
-class TestDegenerateSharded:
-    """The supervisor path under degenerate input: some shards own
-    zero requests, and an empty stream still produces valid health."""
-
-    def test_sharded_empty_stream(self):
-        model = create_backend("vector", CONFIG, workers=2)
-        stats = model.simulate_decoded(iter([]))
-        assert stats.requests == 0
-        assert model.last_health is not None
-        assert model.last_health.ok
-
-    def test_sharded_single_request(self):
-        decoded = decode_trace(_trace(1), CONFIG)
-        serial = create_backend("vector", CONFIG).simulate_decoded(decoded)
-        model = create_backend("vector", CONFIG, workers=2)
-        sharded = model.simulate_decoded(_slice(decoded, 0, 1))
-        _assert_identical(sharded, serial)

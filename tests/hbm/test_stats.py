@@ -58,3 +58,63 @@ class TestDerivedMetrics:
     def test_summary_is_readable(self):
         text = make_stats().summary()
         assert "GB/s" in text and "CLP" in text
+
+
+#: A ``BackendHealth.to_dict()`` as written before the vector tier lost
+#: its channel-shard counters (a sharded run with one retried shard).
+#: Cached results carry this shape under ``backend_health``.
+LEGACY_HEALTH = {
+    "backend": "vector",
+    "workers": 2,
+    "shards": 2,
+    "shard_retries": 1,
+    "shard_timeouts": 0,
+    "stats_rejected": 0,
+    "serial_shards": 0,
+    "pool_degraded": False,
+    "demoted_to": None,
+    "degradations": [
+        {
+            "event": "shard-retry",
+            "reason": "WorkerCrashError: injected fault "
+            "[backend.shard.crash shard0]",
+            "shard": 0,
+            "attempt": 1,
+            "where": "pool",
+        }
+    ],
+    "guard": None,
+    "ok": False,
+    "sharded": True,
+}
+
+
+class TestLegacyBackendHealth:
+    def test_backend_health_loads_legacy_dict(self):
+        from repro.hbm.stats import BackendHealth
+
+        health = BackendHealth.from_dict(LEGACY_HEALTH)
+        assert health.backend == "vector"
+        assert health.demoted_to is None
+        assert health.degradations == LEGACY_HEALTH["degradations"]
+        assert not health.ok
+
+    def test_machine_result_loads_legacy_dict(self):
+        from repro.system.machine import MachineResult
+
+        result = MachineResult(
+            workload="w",
+            system="s",
+            stats=make_stats(),
+            external=None,
+            selection=None,
+            compute_ns=10.0,
+        )
+        data = result.to_dict()
+        data["backend_health"] = LEGACY_HEALTH
+        loaded = MachineResult.from_dict(data)
+        assert loaded.backend_health is not None
+        assert loaded.backend_health.degradations[0]["event"] == (
+            "shard-retry"
+        )
+        assert loaded.fingerprint() == result.fingerprint()

@@ -1,13 +1,10 @@
-"""Tests for the vectorised + sharded ``"vector"`` fidelity tier.
+"""Tests for the vectorised ``"vector"`` fidelity tier.
 
-Three contracts matter here:
+Two contracts matter here:
 
 1. **Streaming invariance** — chunking the decoded input any way at all
    produces bit-identical stats (hypothesis property);
-2. **Shard invariance** — sharding channels across workers produces
-   bit-identical stats to the serial path, via the lawful
-   :meth:`RunStats.merge` reduction;
-3. **Event agreement where exactness is expected** — on per-bank
+2. **Event agreement where exactness is expected** — on per-bank
    in-order traces (strides >= 4) the vector tier reproduces the event
    device's makespan and hit counts exactly.
 """
@@ -24,7 +21,7 @@ from repro.hbm import (
     create_backend,
     hbm2_config,
 )
-from repro.hbm.decode import concat_decoded, decode_trace
+from repro.hbm.decode import DecodedTrace, concat_decoded, decode_trace
 from repro.hbm.device import HBMDevice
 from repro.hbm.stats import RemapTraffic, RunStats
 from repro.hbm.vectormodel import VectorModel
@@ -193,43 +190,25 @@ class TestChunkInvariance:
         _assert_stats_identical(whole, chunked)
 
 
-class TestSharding:
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_sharded_bit_identical_to_serial(self, workers):
-        trace = _random_trace(8192, seed=5)
-        serial = VectorModel(CONFIG, workers=0).simulate(trace)
-        sharded = VectorModel(CONFIG, workers=workers).simulate(trace)
-        _assert_stats_identical(serial, sharded)
-
-    def test_sharded_chunked_stream(self):
-        trace = _random_trace(6000, seed=6)
-        decoded = decode_trace(trace, CONFIG)
-        serial = VectorModel(CONFIG).simulate_decoded(decoded)
-        sharded = VectorModel(CONFIG, workers=3).simulate_decoded(
-            _chunked(decoded, [2500, 2500])
-        )
-        _assert_stats_identical(serial, sharded)
-
-    def test_more_workers_than_channels(self):
-        trace = _random_trace(1024, seed=8)
-        serial = VectorModel(CONFIG).simulate(trace)
-        sharded = VectorModel(
-            CONFIG, workers=CONFIG.num_channels + 5
-        ).simulate(trace)
-        _assert_stats_identical(serial, sharded)
-
-
 class TestMergeLaws:
     def _partials(self):
+        """Stats of three channel-disjoint parts of one trace."""
         trace = _random_trace(4096, seed=2)
         decoded = decode_trace(trace, CONFIG)
-        from repro.hbm.vectormodel import _run_lanes
-
         thirds = np.array_split(np.arange(CONFIG.num_channels), 3)
-        return [
-            _run_lanes(CONFIG, 8, 1024, ids, [(decoded, None)])
-            for ids in thirds
-        ]
+        model = VectorModel(CONFIG, block_accesses=1024)
+        partials = []
+        for ids in thirds:
+            keep = np.isin(decoded.channel, ids)
+            part = DecodedTrace(
+                channel=decoded.channel[keep],
+                bank=decoded.bank[keep],
+                row=decoded.row[keep],
+                column=decoded.column[keep],
+                global_bank=decoded.global_bank[keep],
+            )
+            partials.append(model.simulate_decoded(part))
+        return partials
 
     def test_identity(self):
         a, _, _ = self._partials()

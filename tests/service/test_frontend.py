@@ -143,36 +143,6 @@ class TestOverload:
             ]
             assert len(shed_events) == caught
 
-    def test_sustained_sheds_demote_sharded_backend(self):
-        plan = FaultPlan.single(
-            SERVICE_LANE_STALL, kind="stall", seconds=0.4, match="a"
-        )
-        with frontend(
-            faults=plan, queue_depth=1, demote_after_sheds=2
-        ) as fe:
-            fe.admit(
-                TenantSpec(
-                    "a",
-                    system="bs_dm",
-                    quota=2,
-                    backend="vector",
-                    backend_options={"workers": 2},
-                )
-            )
-            for seed in range(8):
-                try:
-                    fe.submit("a", tiny_workload(), eval_seed=seed)
-                except ServiceOverloadError:
-                    pass
-            assert fe.health.demotions == 1
-            assert fe.registry.spec("a").backend_options["workers"] == 0
-            demotions = [
-                e
-                for e in fe.health.events
-                if e["event"] == "pressure-demoted"
-            ]
-            assert demotions and demotions[0]["tenant"] == "a"
-
 
 class TestDeadlines:
     def test_queued_job_past_deadline_times_out(self):

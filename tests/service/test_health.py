@@ -43,7 +43,7 @@ _COUNTER_FIELDS = (
     "submitted", "completed", "failed", "retried", "timeouts", "shed",
     "dropped", "rejected", "lane_crashes", "lane_restarts",
     "lane_abandonments", "quarantines", "restores", "preemptions",
-    "reclaims", "trims", "demotions",
+    "reclaims", "trims",
 )
 
 

@@ -233,17 +233,20 @@ class TestAdmissionController:
         assert new.namespace == old.namespace
         assert reg.get("a") is new
 
-    def test_amend_swaps_spec_fields_in_place(self):
+    def test_backend_option_the_tier_rejects_fails_admission(self):
         reg = registry()
-        reg.admit(
-            TenantSpec("a", quota=4, backend_options={"workers": 2})
-        )
-        context = reg.amend("a", backend_options={"workers": 0})
-        assert context.backend_options == {"workers": 0}
-        assert reg.spec("a").backend_options == {"workers": 0}
-        assert context.namespace == reg.get("a").namespace
-        with pytest.raises(ConfigError, match="rename"):
-            reg.amend("a", name="b")
+        before = reg.remaining_slots
+        with pytest.raises(ConfigError, match="workers"):
+            reg.admit(
+                TenantSpec(
+                    "a",
+                    system="bs_dm",
+                    backend="vector",
+                    backend_options={"workers": 2},
+                )
+            )
+        assert "a" not in reg
+        assert reg.remaining_slots == before
 
 
 #: A churn program: (action, tenant index, quota, min-quota, priority).

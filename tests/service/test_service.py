@@ -175,7 +175,10 @@ class TestServiceCampaign:
         victim = result.tenants[1]
         assert result.fault_health[victim] == result.concurrent_health[victim]
         aggressor = result.fault_health[result.faulty_tenant]
-        assert aggressor["shard_retries"] >= 1
+        assert aggressor["demoted_to"] == "event"
+        assert "tier-demoted" in [
+            d["event"] for d in aggressor["degradations"]
+        ]
         # The continuous-front-end legs ran and held their laws.
         recovery = result.recovery_health
         assert recovery["quarantines"] >= 1

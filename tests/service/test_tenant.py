@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.cmt import MappingNamespace
 from repro.errors import ConfigError
+from repro.faults import FaultPlan
+from repro.faults.sites import BACKEND_DIVERGENCE
 from repro.hbm.plancache import PlanCache
 from repro.service.tenant import SharedArtifacts, TenantContext
 from repro.system.config import system_by_key
@@ -66,6 +68,27 @@ class TestTenantContext:
         with pytest.raises(ConfigError, match="guard mode"):
             TenantContext(
                 "t", SYSTEM, SharedArtifacts.create(), guard_mode="explode"
+            )
+
+    def test_backend_faults_without_guard_rejected(self):
+        with pytest.raises(ConfigError, match="backend_faults"):
+            TenantContext(
+                "t",
+                SYSTEM,
+                SharedArtifacts.create(),
+                backend="vector",
+                backend_faults=FaultPlan.single(BACKEND_DIVERGENCE),
+            )
+
+    def test_backend_faults_on_unguarded_event_tier_rejected(self):
+        with pytest.raises(ConfigError, match="backend_faults"):
+            TenantContext(
+                "t",
+                SYSTEM,
+                SharedArtifacts.create(),
+                backend="event",
+                guard=True,
+                backend_faults=FaultPlan.single(BACKEND_DIVERGENCE),
             )
 
     def test_sdam_registers_namespace(self):
