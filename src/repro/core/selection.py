@@ -26,7 +26,7 @@ from repro.core.bitfield import AddressLayout
 from repro.core.bitshuffle import select_window_permutation
 from repro.core.chunks import ChunkGeometry
 from repro.errors import ProfilingError
-from repro.ml.dlkmeans import AutoencoderConfig, DLAssistedKMeans
+from repro.ml.dlkmeans import AutoencoderConfig, DLAssistedKMeans, DLPretrainCache
 from repro.ml.kmeans import KMeans
 from repro.profiling.profiler import VariableProfile, WorkloadProfile
 
@@ -190,15 +190,24 @@ def select_mappings_dl(
     geometry: ChunkGeometry,
     config: AutoencoderConfig | None = None,
     coverage: float = 0.8,
+    pretrain_cache: DLPretrainCache | None = None,
 ) -> MappingSelection:
-    """Cluster major variables on learned embeddings (``SDM+BSM+DL``)."""
+    """Cluster major variables on learned embeddings (``SDM+BSM+DL``).
+
+    A ``pretrain_cache`` shares the k-independent autoencoder
+    pretraining between selections of the same profile at different k;
+    ``details["pretrain_reused"]`` says whether this one took it from
+    there.
+    """
     start = time.perf_counter()
     majors = _majors_or_fail(profile, coverage)
     window = geometry.window_slice()
     delta_traces = [m.delta_trace() for m in majors]
     effective_k = min(k, len(majors))
     clusterer = DLAssistedKMeans(effective_k, config=config)
-    result = clusterer.fit(delta_traces, window=window)
+    result = clusterer.fit(
+        delta_traces, window=window, pretrain_cache=pretrain_cache
+    )
     perms = _cluster_mappings(majors, result.labels, effective_k, layout, geometry)
     variable_cluster = {
         m.variable_id: int(label) for m, label in zip(majors, result.labels)
@@ -212,5 +221,6 @@ def select_mappings_dl(
         details={
             "vocab_coverage": result.vocab_coverage,
             "final_loss": result.loss_history[-1] if result.loss_history else None,
+            "pretrain_reused": result.pretrain_reused,
         },
     )

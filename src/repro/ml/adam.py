@@ -53,3 +53,18 @@ class Adam:
             m_hat = m / (1 - self.beta1**t)
             v_hat = v / (1 - self.beta2**t)
             self.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def state(self) -> dict:
+        """Copies of the moment estimates and the step count."""
+        return {
+            "m": {name: m.copy() for name, m in self._m.items()},
+            "v": {name: v.copy() for name, v in self._v.items()},
+            "steps": self.steps,
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Resume from a :meth:`state` of an optimiser over the same params."""
+        for name in self._m:
+            self._m[name][...] = state["m"][name]
+            self._v[name][...] = state["v"][name]
+        self.steps = state["steps"]

@@ -16,7 +16,8 @@ Table 2 values for a full-scale run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "EmbeddingAutoencoder",
     "DLAssistedKMeans",
     "DLClusterResult",
+    "DLPretrainCache",
     "paper_hyperparameters",
 ]
 
@@ -114,7 +116,9 @@ class EmbeddingAutoencoder:
         _enc_out, z, enc_caches = self.encoder.forward(x)
         batch, steps = delta_ids.shape
         decoder_input = np.repeat(z[:, None, :], steps, axis=1)
-        dec_out, _h, dec_caches = self.decoder.forward(decoder_input)
+        dec_out, _h, dec_caches = self.decoder.forward(
+            decoder_input, constant=True
+        )
         logits = dec_out @ self.params["out.W"] + self.params["out.b"]
         reconstruction = sigmoid(logits)
         cache = (delta_ids, vid_ids, enc_caches, dec_caches, dec_out, reconstruction)
@@ -173,6 +177,130 @@ class DLClusterResult:
     loss_history: list[float] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     vocab_coverage: float = 0.0
+    #: Whether phase 1 came from a :class:`DLPretrainCache` (provenance only).
+    pretrain_reused: bool = False
+
+
+@dataclass(frozen=True)
+class _Dataset:
+    """Fixed-length training sequences, one row each."""
+
+    variables: np.ndarray  # (n,) variable index of each sequence
+    delta_ids: np.ndarray  # (n, length) vocabulary ids
+    targets: np.ndarray  # (n, length, bits) delta bits to reconstruct
+
+    def batch(self, rows):
+        """``(variable_index, delta_ids, vid_ids, targets)`` of some rows."""
+        variable_index = self.variables[rows]
+        delta_ids = self.delta_ids[rows]
+        vid_ids = np.repeat(variable_index[:, None], delta_ids.shape[1], axis=1)
+        return variable_index, delta_ids, vid_ids, self.targets[rows]
+
+
+@dataclass(frozen=True)
+class _Pretrain:
+    """The state a fit reaches after phase 1, which no k affects.
+
+    The training sequences are rebuilt from the inputs rather than kept.
+    """
+
+    params: dict[str, np.ndarray]
+    optimizer: dict
+    rng_state: dict
+    loss_history: tuple[float, ...]
+    embeddings: np.ndarray
+
+
+@dataclass
+class _Training:
+    """A model, its optimiser and its minibatch draw, over one dataset."""
+
+    model: EmbeddingAutoencoder
+    optimizer: Adam
+    rng: np.random.Generator
+    dataset: _Dataset
+    batch_size: int
+
+    def step(self, dz_fn=None) -> float:
+        """One minibatch update; returns the loss."""
+        rows = self.rng.integers(0, len(self.dataset.variables), self.batch_size)
+        _variable_index, delta_ids, vid_ids, targets = self.dataset.batch(rows)
+        z, reconstruction, cache = self.model.forward(delta_ids, vid_ids)
+        loss = self.model.reconstruction_loss(reconstruction, targets)
+        dz_extra = None
+        if dz_fn is not None:
+            dz_extra, cluster_loss = dz_fn(z)
+            loss += cluster_loss
+        grads = self.model.backward(cache, targets, dz_extra=dz_extra)
+        self.optimizer.step(grads)
+        return loss
+
+    def snapshot(self, history: list[float], embeddings: np.ndarray) -> _Pretrain:
+        """Copies of everything phase 2 resumes from."""
+        return _Pretrain(
+            params={name: p.copy() for name, p in self.model.params.items()},
+            optimizer=self.optimizer.state(),
+            rng_state=self.rng.bit_generator.state,
+            loss_history=tuple(history),
+            embeddings=embeddings,
+        )
+
+    def restore(self, pretrain: _Pretrain) -> None:
+        """Resume from a :meth:`snapshot` of the same inputs."""
+        for name, value in pretrain.params.items():
+            self.model.params[name][...] = value
+        self.optimizer.load_state(pretrain.optimizer)
+        self.rng.bit_generator.state = pretrain.rng_state
+
+
+class DLPretrainCache:
+    """Phase-1 snapshots and finished fits, shared across cluster counts.
+
+    Reconstruction pretraining and the first variable embeddings depend
+    only on the delta traces, the window and the config, so fits of the
+    same inputs at different k resume from one snapshot and stay bit
+    for bit equal to cold fits.  Finished results are kept per effective
+    k (``min(k, #variables)``), since two requested k can resolve to one.
+    At most :attr:`MAX_ENTRIES` inputs are held, least recently used
+    evicted first.  An :class:`~repro.system.runner.ExperimentRunner`
+    owns one, so it lives exactly as long as its session.
+    """
+
+    #: A serial sweep runs a workload's DL cells back to back, so only
+    #: the latest entry is reused there; one more serves interleaved use.
+    MAX_ENTRIES = 2
+
+    def __init__(self):
+        self._entries: OrderedDict[str, tuple[_Pretrain, dict]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def key(
+        delta_traces: list[np.ndarray],
+        window: tuple[int, int],
+        config: AutoencoderConfig,
+    ) -> str:
+        """Content hash of everything phase 1 depends on."""
+        from repro.core.keys import stable_hash  # repro.core imports this module
+
+        return stable_hash("dl-pretrain", list(delta_traces), tuple(window), config)
+
+    def lookup(self, key: str) -> tuple[_Pretrain, dict] | None:
+        """The snapshot and the results-by-k memo for ``key``, if held."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def store(self, key: str, pretrain: _Pretrain) -> dict:
+        """Hold a snapshot; returns its (empty) results-by-k memo."""
+        results: dict[int, DLClusterResult] = {}
+        self._entries[key] = (pretrain, results)
+        while len(self._entries) > self.MAX_ENTRIES:
+            self._entries.popitem(last=False)
+        return results
 
 
 class DLAssistedKMeans:
@@ -189,57 +317,51 @@ class DLAssistedKMeans:
         self,
         delta_traces: list[np.ndarray],
         window: tuple[int, int],
-    ):
-        """Chop per-variable delta traces into fixed-length sequences."""
+    ) -> tuple[DeltaVocabulary, float, _Dataset]:
+        """Chop per-variable delta traces into fixed-length sequences.
+
+        Returns the vocabulary, the share of all deltas it covers, and
+        the sequences in variable order.
+        """
         length = self.config.sequence_length
         low, high = window
-        bits = high - low
+        nonempty = [d for d in delta_traces if d.size]
         all_deltas = (
-            np.concatenate([d for d in delta_traces if d.size])
-            if any(d.size for d in delta_traces)
-            else np.zeros(0, dtype=np.uint64)
+            np.concatenate(nonempty) if nonempty else np.zeros(0, dtype=np.uint64)
         )
         vocab = DeltaVocabulary(self.config.delta_vocab).fit(all_deltas)
-        sequences: list[tuple[int, np.ndarray, np.ndarray]] = []
+        variables, chunks = [], []
         for variable_index, deltas in enumerate(delta_traces):
             if deltas.size == 0:
                 continue
             if deltas.size < length:  # pad short traces by tiling
-                reps = -(-length // deltas.size)
-                deltas = np.tile(deltas, reps)
+                deltas = np.tile(deltas, -(-length // deltas.size))
             usable = (deltas.size // length) * length
-            ids = vocab.encode(deltas[:usable]).reshape(-1, length)
-            shifts = np.arange(low, high, dtype=np.uint64)
-            bit_targets = (
-                (deltas[:usable, None] >> shifts) & np.uint64(1)
-            ).astype(np.float64)
-            bit_targets = bit_targets.reshape(-1, length, bits)
-            for row in range(ids.shape[0]):
-                sequences.append((variable_index, ids[row], bit_targets[row]))
-        if not sequences:
+            variables.append(np.full(usable // length, variable_index))
+            chunks.append(deltas[:usable])
+        if not chunks:
             raise TrainingError("no delta sequences to train on")
-        return vocab, sequences
-
-    @staticmethod
-    def _batch(sequences, indices):
-        variable_index = np.array([sequences[i][0] for i in indices])
-        delta_ids = np.stack([sequences[i][1] for i in indices])
-        targets = np.stack([sequences[i][2] for i in indices])
-        vid_ids = np.repeat(
-            variable_index[:, None], delta_ids.shape[1], axis=1
+        deltas = np.concatenate(chunks)
+        # One bit column at a time keeps the temporaries to one column.
+        targets = np.empty((deltas.size, high - low))
+        for column, shift in enumerate(range(low, high)):
+            targets[:, column] = (deltas >> np.uint64(shift)) & np.uint64(1)
+        dataset = _Dataset(
+            variables=np.concatenate(variables),
+            delta_ids=vocab.encode(deltas).reshape(-1, length),
+            targets=targets.reshape(-1, length, high - low),
         )
-        return variable_index, delta_ids, vid_ids, targets
+        return vocab, vocab.coverage(all_deltas), dataset
 
     def _variable_embeddings(
-        self, model: EmbeddingAutoencoder, sequences, num_variables: int
+        self, model: EmbeddingAutoencoder, dataset: _Dataset, num_variables: int
     ) -> np.ndarray:
         sums = np.zeros((num_variables, self.config.hidden_dim))
         counts = np.zeros(num_variables)
         batch = self.config.batch_size
-        for start in range(0, len(sequences), batch):
-            indices = range(start, min(start + batch, len(sequences)))
-            variable_index, delta_ids, vid_ids, _targets = self._batch(
-                sequences, list(indices)
+        for start in range(0, len(dataset.variables), batch):
+            variable_index, delta_ids, vid_ids, _targets = dataset.batch(
+                slice(start, start + batch)
             )
             z = model.embed(delta_ids, vid_ids)
             np.add.at(sums, variable_index, z)
@@ -252,83 +374,124 @@ class DLAssistedKMeans:
         self,
         delta_traces: list[np.ndarray],
         window: tuple[int, int] = (6, 21),
+        pretrain_cache: DLPretrainCache | None = None,
     ) -> DLClusterResult:
         """Cluster variables given their delta traces.
 
         ``delta_traces[i]`` is the XOR-delta trace of variable ``i``;
-        the returned labels align with that list.
+        the returned labels align with that list.  With a
+        ``pretrain_cache``, phase 1 (and a whole fit at an effective k
+        already seen) is taken from it; the result is bit for bit the
+        one a cold fit returns.
         """
         start_time = time.perf_counter()
         num_variables = len(delta_traces)
         if num_variables == 0:
             raise TrainingError("no variables to cluster")
         config = self.config
-        vocab, sequences = self._build_dataset(delta_traces, window)
+        effective_k = min(self.k, num_variables)
+        key = entry = None
+        if pretrain_cache is not None:
+            key = DLPretrainCache.key(delta_traces, window, config)
+            entry = pretrain_cache.lookup(key)
+        if entry is not None and effective_k in entry[1]:
+            return replace(
+                entry[1][effective_k],
+                elapsed_seconds=time.perf_counter() - start_time,
+                pretrain_reused=True,
+            )
+        vocab, coverage, dataset = self._build_dataset(delta_traces, window)
         model = EmbeddingAutoencoder(
             delta_vocab_size=vocab.size,
             num_variables=num_variables,
             target_bits=window[1] - window[0],
             config=config,
         )
-        optimizer = Adam(model.params, lr=config.learning_rate)
-        rng = np.random.default_rng(config.seed)
-        history: list[float] = []
+        training = _Training(
+            model=model,
+            optimizer=Adam(model.params, lr=config.learning_rate),
+            rng=np.random.default_rng(config.seed),
+            dataset=dataset,
+            batch_size=config.batch_size,
+        )
+        if entry is None:
+            history, embeddings = self._pretrain(training, num_variables)
+            if pretrain_cache is not None:
+                results = pretrain_cache.store(
+                    key, training.snapshot(history, embeddings)
+                )
+        else:
+            pretrain, results = entry
+            training.restore(pretrain)
+            history = list(pretrain.loss_history)
+            embeddings = pretrain.embeddings
+        labels, embeddings, centroids = self._joint(
+            training, history, embeddings, effective_k
+        )
+        result = DLClusterResult(
+            labels=labels,
+            embeddings=embeddings,
+            centroids=centroids,
+            loss_history=history,
+            elapsed_seconds=time.perf_counter() - start_time,
+            vocab_coverage=coverage,
+            pretrain_reused=entry is not None,
+        )
+        if pretrain_cache is not None:
+            results[effective_k] = result
+        return result
 
-        def training_step(dz_fn=None) -> float:
-            """One minibatch update; returns the loss."""
-            indices = rng.integers(0, len(sequences), config.batch_size)
-            variable_index, delta_ids, vid_ids, targets = self._batch(
-                sequences, indices.tolist()
-            )
-            z, reconstruction, cache = model.forward(delta_ids, vid_ids)
-            loss = model.reconstruction_loss(reconstruction, targets)
-            dz_extra = None
-            if dz_fn is not None:
-                dz_extra, cluster_loss = dz_fn(z)
-                loss += cluster_loss
-            grads = model.backward(cache, targets, dz_extra=dz_extra)
-            optimizer.step(grads)
-            return loss
+    def _pretrain(
+        self, training: _Training, num_variables: int
+    ) -> tuple[list[float], np.ndarray]:
+        """Phase 1, pure reconstruction (Eq. 3): the loss history and
+        the variable embeddings it ends with."""
+        history = [training.step() for _step in range(self.config.pretrain_steps)]
+        embeddings = self._variable_embeddings(
+            training.model, training.dataset, num_variables
+        )
+        return history, embeddings
 
-        # Phase 1: pure reconstruction pre-training (Eq. 3).
-        for _step in range(config.pretrain_steps):
-            history.append(training_step())
+    def _joint(
+        self,
+        training: _Training,
+        history: list[float],
+        embeddings: np.ndarray,
+        k: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase 2, reconstruction + clustering loss at this k.
 
-        # Phase 2: joint reconstruction + clustering loss.
-        effective_k = min(self.k, num_variables)
-        embeddings = self._variable_embeddings(model, sequences, num_variables)
-        centroids = KMeans(effective_k, seed=config.seed).fit(embeddings).centroids
+        Appends to ``history``; returns the final labels, embeddings
+        and centroids.
+        """
+        config = self.config
+        num_variables = len(embeddings)
+        clusters = KMeans(k, seed=config.seed).fit(embeddings)
 
         def cluster_gradient(z: np.ndarray):
             """dL/dz and loss of the clustering term."""
+            centroids = clusters.centroids
             assignment = KMeans.assign(z, centroids)
             residual = z - centroids[assignment]
             loss = config.cluster_weight * float((residual**2).mean())
             dz = 2 * config.cluster_weight * residual / z.size
             return dz, loss
 
-        for step in range(config.joint_steps):
-            history.append(training_step(cluster_gradient))
-            if (step + 1) % config.centroid_refresh == 0:
-                embeddings = self._variable_embeddings(
-                    model, sequences, num_variables
-                )
-                centroids = (
-                    KMeans(effective_k, seed=config.seed).fit(embeddings).centroids
-                )
+        def refresh() -> None:
+            nonlocal embeddings, clusters
+            embeddings = self._variable_embeddings(
+                training.model, training.dataset, num_variables
+            )
+            clusters = KMeans(k, seed=config.seed).fit(embeddings)
 
-        embeddings = self._variable_embeddings(model, sequences, num_variables)
-        final = KMeans(effective_k, seed=config.seed).fit(embeddings)
-        all_deltas = (
-            np.concatenate([d for d in delta_traces if d.size])
-            if any(d.size for d in delta_traces)
-            else np.zeros(0, dtype=np.uint64)
-        )
-        return DLClusterResult(
-            labels=final.labels,
-            embeddings=embeddings,
-            centroids=final.centroids,
-            loss_history=history,
-            elapsed_seconds=time.perf_counter() - start_time,
-            vocab_coverage=vocab.coverage(all_deltas),
-        )
+        # Embeddings go stale with each step.  Fresh ones are final:
+        # recomputing them from unchanged weights repeats the arithmetic.
+        stale = False
+        for step in range(config.joint_steps):
+            history.append(training.step(cluster_gradient))
+            stale = (step + 1) % config.centroid_refresh != 0
+            if not stale:
+                refresh()
+        if stale:
+            refresh()
+        return clusters.labels, embeddings, clusters.centroids

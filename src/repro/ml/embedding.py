@@ -7,8 +7,6 @@ rest into an out-of-vocabulary id, as learned-prefetching work does.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from repro.errors import TrainingError
@@ -36,7 +34,7 @@ class Embedding:
         self.params = params
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        """Look up / compute the layer's forward pass."""
+        """The table rows of ``ids``: shape ``ids.shape + (dim,)``."""
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise TrainingError("embedding id out of range")
@@ -54,7 +52,11 @@ class Embedding:
 
 
 class DeltaVocabulary:
-    """Top-K address deltas -> dense ids; everything else -> OOV (id 0)."""
+    """Top-K address deltas -> dense ids; everything else -> OOV (id 0).
+
+    Ids go by descending count, ties by first occurrence in the fitted
+    deltas (the order ``collections.Counter.most_common`` gives).
+    """
 
     OOV = 0
 
@@ -62,30 +64,38 @@ class DeltaVocabulary:
         if max_size < 2:
             raise TrainingError("vocabulary needs room for OOV plus one delta")
         self.max_size = max_size
-        self._ids: dict[int, int] = {}
+        self._keys = np.zeros(0, dtype=np.uint64)  # sorted known deltas
+        self._key_ids = np.zeros(0, dtype=np.int64)  # id of each key
 
     def fit(self, deltas: np.ndarray) -> "DeltaVocabulary":
-        """Fit to the given data; returns self or the result."""
-        counts = Counter(np.asarray(deltas, dtype=np.uint64).tolist())
-        most_common = counts.most_common(self.max_size - 1)
-        self._ids = {
-            delta: index + 1 for index, (delta, _count) in enumerate(most_common)
-        }
+        """Keep the ``max_size - 1`` most frequent deltas; returns self."""
+        values, first, counts = np.unique(
+            np.asarray(deltas, dtype=np.uint64),
+            return_index=True,
+            return_counts=True,
+        )
+        # rank[i] is the index into ``values`` of the delta with id i + 1.
+        rank = np.lexsort((first, -counts))[: self.max_size - 1]
+        by_value = np.argsort(rank)
+        self._keys = values[rank[by_value]]
+        self._key_ids = by_value + 1
         return self
 
     @property
     def size(self) -> int:
-        """Heap length in bytes."""
-        return len(self._ids) + 1
+        """Number of ids, the OOV id included."""
+        return len(self._keys) + 1
 
     def encode(self, deltas: np.ndarray) -> np.ndarray:
         """Map raw values to vocabulary ids (OOV for unknown)."""
-        ids = np.fromiter(
-            (self._ids.get(int(d), self.OOV) for d in np.asarray(deltas)),
-            dtype=np.int64,
-            count=len(deltas),
+        deltas = np.asarray(deltas, dtype=np.uint64)
+        if not self._keys.size:
+            return np.full(deltas.shape, self.OOV, dtype=np.int64)
+        slot = np.searchsorted(self._keys, deltas)
+        slot[slot == len(self._keys)] = 0
+        return np.where(
+            self._keys[slot] == deltas, self._key_ids[slot], self.OOV
         )
-        return ids
 
     def coverage(self, deltas: np.ndarray) -> float:
         """Fraction of deltas that map to a real (non-OOV) id."""

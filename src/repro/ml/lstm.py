@@ -15,13 +15,17 @@ __all__ = ["LSTMCell", "LSTMLayer", "sigmoid"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable logistic function."""
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically-stable logistic function.
+
+    ``e = exp(-|x|)`` never overflows; ``1 / (1 + e)`` for ``x >= 0`` and
+    ``e / (1 + e)`` below are bit for bit the two branches of the
+    textbook masked form, in one pass.  ``-|x|`` is taken as
+    ``min(x, -x)`` so a NaN keeps its sign and payload.
+    """
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class LSTMCell:
@@ -49,16 +53,34 @@ class LSTMCell:
         params[f"{prefix}.b"] = bias
         self.params = params
 
-    def forward(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        """One step; returns ``(h_next, c_next, cache)``."""
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The input term ``x @ Wx`` of the gate pre-activations."""
+        return x @ self.params[f"{self.prefix}.Wx"]
+
+    def forward(
+        self,
+        x: np.ndarray,
+        h: np.ndarray,
+        c: np.ndarray,
+        x_proj: np.ndarray | None = None,
+    ):
+        """One step; returns ``(h_next, c_next, cache)``.
+
+        ``x_proj`` is :meth:`project` of ``x`` when the caller already
+        has it (an input held constant over time is projected once).
+        """
         p = self.params
-        gates = x @ p[f"{self.prefix}.Wx"] + h @ p[f"{self.prefix}.Wh"]
+        if x_proj is None:
+            x_proj = self.project(x)
+        gates = x_proj + h @ p[f"{self.prefix}.Wh"]
         gates += p[f"{self.prefix}.b"]
         hd = self.hidden_dim
-        i = sigmoid(gates[:, :hd])
-        f = sigmoid(gates[:, hd : 2 * hd])
+        # One sigmoid over the whole block; the g slice is discarded.
+        s = sigmoid(gates)
+        i = s[:, :hd]
+        f = s[:, hd : 2 * hd]
         g = np.tanh(gates[:, 2 * hd : 3 * hd])
-        o = sigmoid(gates[:, 3 * hd :])
+        o = s[:, 3 * hd :]
         c_next = f * c + i * g
         tanh_c = np.tanh(c_next)
         h_next = o * tanh_c
@@ -98,9 +120,9 @@ class LSTMCell:
             f"{self.prefix}.Wh",
             f"{self.prefix}.b",
         )
-        grads.setdefault(key_wx, np.zeros_like(p[key_wx]))
-        grads.setdefault(key_wh, np.zeros_like(p[key_wh]))
-        grads.setdefault(key_b, np.zeros_like(p[key_b]))
+        for key in (key_wx, key_wh, key_b):
+            if key not in grads:  # not setdefault: no zeros every step
+                grads[key] = np.zeros_like(p[key])
         grads[key_wx] += x.T @ d_gates
         grads[key_wh] += h.T @ d_gates
         grads[key_b] += d_gates.sum(axis=0)
@@ -123,18 +145,27 @@ class LSTMLayer:
         self.cell = LSTMCell(input_dim, hidden_dim, params, prefix, rng)
         self.hidden_dim = hidden_dim
 
-    def forward(self, x: np.ndarray, h0: np.ndarray | None = None):
+    def forward(
+        self,
+        x: np.ndarray,
+        h0: np.ndarray | None = None,
+        constant: bool = False,
+    ):
         """Run the sequence; returns ``(outputs, h_last, caches)``.
 
+        ``x`` is (batch, time, feature).  ``constant`` says every time
+        step of ``x`` holds the same input (the decoder's), so its
+        projection is computed once rather than per step.
         ``outputs`` is (batch, time, hidden).
         """
         batch, steps, _features = x.shape
+        x_proj = self.cell.project(x[:, 0, :]) if constant and steps else None
         h = np.zeros((batch, self.hidden_dim)) if h0 is None else h0
         c = np.zeros((batch, self.hidden_dim))
         outputs = np.empty((batch, steps, self.hidden_dim))
         caches = []
         for t in range(steps):
-            h, c, cache = self.cell.forward(x[:, t, :], h, c)
+            h, c, cache = self.cell.forward(x[:, t, :], h, c, x_proj)
             outputs[:, t, :] = h
             caches.append(cache)
         return outputs, h, caches

@@ -57,7 +57,7 @@ from repro.hbm.guard import DEFAULT_GUARD_SAMPLE, GuardedBackend, TierFactory
 from repro.hbm.plancache import PlanCache, default_plan_cache
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
-from repro.ml.dlkmeans import AutoencoderConfig
+from repro.ml.dlkmeans import AutoencoderConfig, DLPretrainCache
 from repro.profiling.bfrv import bit_flip_rate_vector
 from repro.profiling.profiler import WorkloadProfile, profile_trace
 from repro.profiling.variables import VariableRegistry
@@ -328,7 +328,16 @@ class TenantContext:
         return profile_trace(pa_trace, registry, name=workload.name)
 
     # -- mapping selection -------------------------------------------------------
-    def select(self, profile: WorkloadProfile) -> MappingSelection:
+    def select(
+        self,
+        profile: WorkloadProfile,
+        pretrain_cache: DLPretrainCache | None = None,
+    ) -> MappingSelection:
+        """Mapping selection for this tenant's system configuration.
+
+        ``pretrain_cache`` is handed to DL selection (see
+        :func:`repro.core.selection.select_mappings_dl`).
+        """
         system = self.system
         if system.clustering == "kmeans":
             return select_mappings_kmeans(
@@ -347,6 +356,7 @@ class TenantContext:
                 self.geometry,
                 config=self.dl_config,
                 coverage=self.SELECTION_COVERAGE,
+                pretrain_cache=pretrain_cache,
             )
         return select_application_mapping(profile, self.layout, self.geometry)
 

@@ -36,7 +36,7 @@ from repro.cpu.cpu import ExternalTraceResult
 from repro.errors import ConfigError, warn_deprecated_once
 from repro.hbm.config import HBMConfig
 from repro.hbm.stats import BackendHealth, RunStats
-from repro.ml.dlkmeans import AutoencoderConfig
+from repro.ml.dlkmeans import AutoencoderConfig, DLPretrainCache
 from repro.profiling.profiler import WorkloadProfile
 from repro.service.tenant import (
     ACCEL_COMPUTE_NS_PER_ACCESS,
@@ -358,9 +358,13 @@ class Machine:
         """Offline profiling on the baseline system (Section 6.2)."""
         return self._tenant.profile(workload, input_seed=input_seed)
 
-    def select(self, profile: WorkloadProfile) -> MappingSelection:
+    def select(
+        self,
+        profile: WorkloadProfile,
+        pretrain_cache: DLPretrainCache | None = None,
+    ) -> MappingSelection:
         """Mapping selection for this machine's system configuration."""
-        return self._tenant.select(profile)
+        return self._tenant.select(profile, pretrain_cache=pretrain_cache)
 
     def run(
         self,

@@ -40,6 +40,7 @@ from repro.core.keys import stable_hash
 from repro.core.selection import MappingSelection
 from repro.errors import ConfigError, RetryExhaustedError
 from repro.faults import FaultPlan
+from repro.ml.dlkmeans import DLPretrainCache
 from repro.profiling.profiler import WorkloadProfile
 from repro.system.config import SystemConfig, standard_systems
 from repro.system.experiment import SpeedupTable
@@ -303,6 +304,8 @@ class _CellTask:
     cache_dir: str | None = None
     attempt: int = 1
     faults: FaultPlan | None = None
+    #: The runner's, for in-process cells only: a pooled cell gets none.
+    pretrain_cache: DLPretrainCache | None = field(default=None, compare=False)
 
     @property
     def token(self) -> str:
@@ -399,7 +402,9 @@ def _run_cell_task(task: _CellTask, in_worker: bool = False) -> _CellOutcome:
                     stage = "selection"
                 inject("worker.selection")
                 start = time.perf_counter()
-                selection = selection_stage(task.params, profile)
+                selection = selection_stage(
+                    task.params, profile, pretrain_cache=task.pretrain_cache
+                )
                 timings["selection"] = time.perf_counter() - start
                 if store is not None and task.selection_key:
                     store.store_selection(task.selection_key, selection)
@@ -484,6 +489,7 @@ class ExperimentRunner:
         self._profiles: dict[str, WorkloadProfile] = {}
         self._selections: dict[str, MappingSelection] = {}
         self._results: dict[str, dict] = {}
+        self.pretrain_cache = DLPretrainCache()
         self._degraded = False
 
     # -- cached stage lookups ------------------------------------------------
@@ -719,6 +725,7 @@ class ExperimentRunner:
                     mix_profile=mix_profile if needs_mix else None,
                     cache_dir=self.cache_dir,
                     faults=self.faults,
+                    pretrain_cache=self.pretrain_cache,
                 )
             )
 
@@ -853,7 +860,9 @@ class ExperimentRunner:
         pool_broken = False
         try:
             futures = {
-                pool.submit(_run_cell_task, task, True): task
+                pool.submit(
+                    _run_cell_task, replace(task, pretrain_cache=None), True
+                ): task
                 for task in tasks
             }
             remaining = set(futures)
@@ -996,6 +1005,7 @@ class ExperimentRunner:
             else None,
             cache_dir=self.cache_dir,
             faults=self.faults,
+            pretrain_cache=self.pretrain_cache,
         )
         attempt = 1
         while True:

@@ -39,7 +39,7 @@ from repro.core.keys import stable_hash
 from repro.core.selection import MappingSelection
 from repro.cpu.trace import AccessTrace
 from repro.hbm.config import HBMConfig, hbm2_config
-from repro.ml.dlkmeans import AutoencoderConfig
+from repro.ml.dlkmeans import AutoencoderConfig, DLPretrainCache
 from repro.profiling.profiler import WorkloadProfile, profile_trace
 from repro.profiling.variables import VariableRegistry
 from repro.system.config import SystemConfig
@@ -200,10 +200,15 @@ def selection_cache_key(
 
 
 def selection_stage(
-    params: MachineParams, profile: WorkloadProfile
+    params: MachineParams,
+    profile: WorkloadProfile,
+    pretrain_cache: DLPretrainCache | None = None,
 ) -> MappingSelection:
-    """Choose window permutations for a profiled workload."""
-    return params.build().select(profile)
+    """Choose window permutations for a profiled workload.
+
+    ``pretrain_cache`` lets DL cells of one profile share pretraining.
+    """
+    return params.build().select(profile, pretrain_cache=pretrain_cache)
 
 
 # ---------------------------------------------------------------------------
