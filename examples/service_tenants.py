@@ -2,7 +2,7 @@
 
 The minimal serving setup: one deployment's immutable artifacts
 (device model, geometry, shared plan cache), two tenants admitted with
-their own mapping-budget namespaces, jobs drained concurrently.  Each
+their own mapping-budget namespaces, each served on its own lane.  Each
 tenant's fingerprint depends only on its own spec, workload and
 namespace — rerun either tenant alone and its fingerprint is
 bit-identical (the property ``repro serve --selftest`` proves at
@@ -13,26 +13,29 @@ Run:  python examples/service_tenants.py
 
 import json
 
-from repro.service import MappingService, SharedArtifacts, TenantSpec
+from repro.service import ServiceFrontend, SharedArtifacts, TenantSpec
 from repro.workloads import MixedStrideWorkload, StridedCopyWorkload
 
 
 def main() -> None:
-    service = MappingService(shared=SharedArtifacts.create(backend="fast"))
-    service.admit(
-        TenantSpec("alice", system="sdm_bsm_ml4", quota=4, seed=1)
-    )
-    service.admit(TenantSpec("bob", system="sdm_bsm", quota=4, seed=2))
+    with ServiceFrontend(
+        shared=SharedArtifacts.create(backend="fast")
+    ) as service:
+        service.admit(
+            TenantSpec("alice", system="sdm_bsm_ml4", quota=4, seed=1)
+        )
+        service.admit(TenantSpec("bob", system="sdm_bsm", quota=4, seed=2))
 
-    service.submit(
-        "alice",
-        StridedCopyWorkload(stride_lines=16, accesses_per_thread=4000),
-    )
-    service.submit(
-        "bob", MixedStrideWorkload(strides=(1, 8), accesses_per_stride=2000)
-    )
+        service.submit(
+            "alice",
+            StridedCopyWorkload(stride_lines=16, accesses_per_thread=4000),
+        )
+        service.submit(
+            "bob",
+            MixedStrideWorkload(strides=(1, 8), accesses_per_stride=2000),
+        )
 
-    report = service.drain()
+        report = service.drain()
 
     for name, result in report.tenants.items():
         namespace = result.namespace

@@ -30,7 +30,6 @@ from repro.hbm import PlanCache, default_plan_cache
 from repro.service import (
     JobHandle,
     LaneSupervisor,
-    MappingService,
     ServiceCampaignResult,
     ServiceFrontend,
     ServiceHealth,
@@ -75,7 +74,6 @@ __all__ = [
     "LaneSupervisor",
     "Machine",
     "MappingSelection",
-    "MappingService",
     "PlanCache",
     "RASReport",
     "run_adaptive_campaign",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.cpu import ExternalTraceResult
 from repro.cpu.trace import AccessTrace, interleave_traces
-from repro.errors import ConfigError, warn_deprecated_once
+from repro.errors import ConfigError
 
 __all__ = ["AcceleratorModel"]
 
@@ -41,20 +41,6 @@ class AcceleratorModel:
     def max_inflight(self) -> int:
         """Memory-level parallelism handed to the memory model."""
         return self.lanes * self.mlp_per_lane
-
-    def backend_hints(self) -> dict:
-        """Deprecated: read :attr:`max_inflight` directly instead.
-
-        The backend-selection redesign passes ``max_inflight`` as an
-        explicit :func:`~repro.hbm.backend.create_backend` argument;
-        this indirection survives only as a shim.
-        """
-        warn_deprecated_once(
-            "accelerator.backend_hints",
-            "AcceleratorModel.backend_hints() is deprecated; "
-            "pass max_inflight=engine.max_inflight to create_backend",
-        )
-        return {"max_inflight": self.max_inflight}
 
     def external_trace(
         self, thread_traces: list[AccessTrace]

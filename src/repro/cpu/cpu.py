@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.trace import AccessTrace, interleave_traces
-from repro.errors import ConfigError, warn_deprecated_once
+from repro.errors import ConfigError
 
 __all__ = ["CPUModel", "ExternalTraceResult"]
 
@@ -61,20 +61,6 @@ class CPUModel:
     def max_inflight(self) -> int:
         """MLP handed to the memory model."""
         return self.cores * self.mlp_per_core
-
-    def backend_hints(self) -> dict:
-        """Deprecated: read :attr:`max_inflight` directly instead.
-
-        The backend-selection redesign passes ``max_inflight`` as an
-        explicit :func:`~repro.hbm.backend.create_backend` argument;
-        this indirection survives only as a shim.
-        """
-        warn_deprecated_once(
-            "cpu.backend_hints",
-            "CPUModel.backend_hints() is deprecated; "
-            "pass max_inflight=engine.max_inflight to create_backend",
-        )
-        return {"max_inflight": self.max_inflight}
 
     def external_trace(
         self, thread_traces: list[AccessTrace]

@@ -8,24 +8,6 @@ chunk-mapping table, the OS memory allocators, and the simulators.
 
 from __future__ import annotations
 
-import warnings
-
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def warn_deprecated_once(key: str, message: str, stacklevel: int = 3) -> None:
-    """Emit a :class:`DeprecationWarning` once per process per ``key``.
-
-    The deprecation shims (``Machine(memory_model=...)``, the engines'
-    ``backend_hints()``) warn through this so a sweep over thousands of
-    cells does not repeat the same warning thousands of times.
-    """
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
-
 class ReproError(Exception):
     """Base class for all library errors."""
 

@@ -1,7 +1,7 @@
 """Multi-tenant service core: shared immutable artifacts, tenant
 contexts, the tenant registry (admission control with priorities,
-borrowing and preemption), the batching front-end, the continuous
-supervised front-end, and the isolation selftest campaign."""
+borrowing and preemption), the continuous supervised front-end and
+its drain report, and the isolation selftest campaign."""
 
 from repro.service.campaign import ServiceCampaignResult, run_service_campaign
 from repro.service.frontend import (
@@ -12,7 +12,7 @@ from repro.service.frontend import (
 )
 from repro.service.health import ServiceHealth
 from repro.service.registry import PRIORITIES, TenantRegistry, TenantSpec
-from repro.service.service import MappingService, ServiceReport, TenantResult
+from repro.service.service import ServiceReport, TenantResult
 from repro.service.supervisor import LaneSupervisor
 from repro.service.tenant import SharedArtifacts, TenantContext
 
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_QUEUE_DEPTH",
     "JobHandle",
     "LaneSupervisor",
-    "MappingService",
     "PRIORITIES",
     "ServiceCampaignResult",
     "ServiceFrontend",

@@ -50,8 +50,8 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.faults.sites import BACKEND_DIVERGENCE, SERVICE_LANE_CRASH
 from repro.service.frontend import ServiceFrontend
-from repro.service.registry import TenantSpec
-from repro.service.service import MappingService, ServiceReport
+from repro.service.registry import TenantRegistry, TenantSpec
+from repro.service.service import ServiceReport
 from repro.service.tenant import SharedArtifacts
 from repro.workloads.synthetic import MixedStrideWorkload, StridedCopyWorkload
 
@@ -200,20 +200,20 @@ def _run_leg(
     part of each fingerprint — is identical across legs; only the
     submitted traffic differs.
     """
-    service = MappingService(
+    with ServiceFrontend(
         shared=SharedArtifacts.create(backend=backend)
-    )
-    for spec in specs:
-        service.admit(spec)
-    for index, spec in enumerate(specs):
-        if spec.name in submit_for:
-            service.submit(
-                spec.name,
-                _tenant_workload(seed, index, quick),
-                profile_seed=0,
-                eval_seed=1,
-            )
-    return service.drain()
+    ) as frontend:
+        for spec in specs:
+            frontend.admit(spec)
+        for index, spec in enumerate(specs):
+            if spec.name in submit_for:
+                frontend.submit(
+                    spec.name,
+                    _tenant_workload(seed, index, quick),
+                    profile_seed=0,
+                    eval_seed=1,
+                )
+        return frontend.drain(timeout=120.0)
 
 
 def _controller_leg(
@@ -226,8 +226,8 @@ def _controller_leg(
     fingerprints bit for bit.  The fast backend keeps the leg cheap;
     the property being checked is context isolation, not tier choice.
     """
-    service = MappingService(shared=SharedArtifacts.create(backend="fast"))
-    contexts = [service.admit(spec) for spec in specs[:2]]
+    registry = TenantRegistry(SharedArtifacts.create(backend="fast"))
+    contexts = [registry.admit(spec) for spec in specs[:2]]
 
     def adaptive(context):
         return context.adaptive_campaign(quick=True).fingerprint()
@@ -249,7 +249,7 @@ def _controller_leg(
     concurrent: dict = {context.name: {} for context in contexts}
     with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
         futures = [
-            (name, kind, pool.submit(fn, service.registry.get(name)))
+            (name, kind, pool.submit(fn, registry.get(name)))
             for name, kind, fn in tasks
         ]
         for name, kind, future in futures:

@@ -1,8 +1,11 @@
 """The continuous service front-end: always-on, supervised tenant lanes.
 
-:class:`~repro.service.service.MappingService` batches: submit, then
-``drain()`` runs everything.  :class:`ServiceFrontend` replaces that
-with the serving loop the ROADMAP's SDAM-as-a-service north star needs:
+:class:`ServiceFrontend` is the service's one driver: tenants are
+admitted through a :class:`~repro.service.registry.TenantRegistry`
+(quota-carved mapping namespaces over shared immutable artifacts),
+submit workload jobs, and :meth:`ServiceFrontend.drain` waits for every
+accepted job and folds the lanes into a
+:class:`~repro.service.service.ServiceReport`.  It provides:
 
 * **Always-running lanes** — each admitted tenant gets a dedicated lane
   thread pulling jobs from a bounded queue the moment they are
@@ -184,7 +187,7 @@ class ServiceFrontend:
     ):
         if queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
-        if deadline_s <= 0:
+        if not deadline_s > 0:  # also rejects NaN
             raise ConfigError("deadline_s must be > 0")
         self.health = ServiceHealth()
         self.registry = TenantRegistry(
@@ -316,14 +319,17 @@ class ServiceFrontend:
             lane = self._lanes.get(tenant)
         if lane is None:
             raise ConfigError(f"tenant {tenant!r} is not admitted")
+        if deadline_s is None:
+            deadline_s = self.deadline_s
+        elif not deadline_s > 0:  # also rejects NaN
+            raise ConfigError("deadline_s must be > 0")
         handle = JobHandle(tenant=tenant, workload=workload.name)
-        now = self._clock()
         job = _QueuedJob(
             workload=workload,
             profile_seed=profile_seed,
             eval_seed=eval_seed,
             handle=handle,
-            deadline=now + (deadline_s if deadline_s is not None else self.deadline_s),
+            deadline=self._clock() + deadline_s,
         )
         with lane.lock:
             until = lane.quarantined_until
@@ -488,8 +494,8 @@ class ServiceFrontend:
     def drain(self, timeout: float = 60.0) -> ServiceReport:
         """Wait until every accepted job is terminal, then report.
 
-        Unlike the batch service, lanes keep running after the drain —
-        this is a checkpoint, not a shutdown.  Raises
+        Lanes keep running after the drain — this is a checkpoint, not
+        a shutdown; :meth:`close` is the shutdown.  Raises
         :class:`~repro.errors.ConfigError` if jobs remain unaccounted
         past ``timeout`` (which would mean supervision is wedged).
         """

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from repro.core.chunks import ChunkGeometry
 from repro.core.selection import MappingSelection
 from repro.cpu.cpu import ExternalTraceResult
-from repro.errors import ConfigError, warn_deprecated_once
 from repro.hbm.config import HBMConfig
 from repro.hbm.stats import BackendHealth, RunStats
 from repro.ml.dlkmeans import AutoencoderConfig, DLPretrainCache
@@ -279,25 +278,11 @@ class Machine:
         seed: int = 0,
         chunk_colours: int = 8,
         debug_ha: bool = False,
-        memory_model: str | None = None,
         guard: bool = False,
         guard_sample: float | None = None,
         guard_mode: str = "demote",
         backend_faults=None,
     ):
-        if memory_model is not None:
-            # Pre-redesign spelling of the backend selector.
-            warn_deprecated_once(
-                "machine.memory_model",
-                "Machine(memory_model=...) is deprecated; "
-                "use Machine(backend=...)",
-            )
-            if backend is not None and backend != memory_model:
-                raise ConfigError(
-                    "pass either backend= or the deprecated memory_model=, "
-                    "not conflicting values of both"
-                )
-            backend = memory_model
         if backend is None:
             backend = "fast"
         shared = SharedArtifacts.create(
@@ -342,11 +327,6 @@ class Machine:
         self.seed = self._tenant.seed
         self.chunk_colours = self._tenant.chunk_colours
         self.debug_ha = self._tenant.debug_ha
-
-    @property
-    def memory_model(self) -> str:
-        """Deprecated alias for :attr:`backend`."""
-        return self.backend
 
     @property
     def tenant(self) -> TenantContext:

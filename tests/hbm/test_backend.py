@@ -130,7 +130,7 @@ class TestMachineSelection:
         from repro.system.machine import Machine
 
         with pytest.raises(ConfigError, match="unknown memory model"):
-            Machine(system_by_key("bs_dm"), memory_model="no-such-model")
+            Machine(system_by_key("bs_dm"), backend="no-such-model")
 
     def test_machine_accepts_registered_backends(self):
         from repro.system import system_by_key
@@ -139,86 +139,3 @@ class TestMachineSelection:
         for name in ("fast", "vector", "event"):
             machine = Machine(system_by_key("bs_dm"), backend=name)
             assert machine.backend == name
-            assert machine.memory_model == name  # compat alias
-
-
-class TestDeprecationShims:
-    """The renamed surfaces keep working, but say so exactly once.
-
-    The suite-wide autouse fixture in ``tests/conftest.py`` resets the
-    once-per-process registry between tests.
-    """
-
-    def test_memory_model_alias_warns_once(self):
-        import warnings
-
-        from repro.system import system_by_key
-        from repro.system.machine import Machine
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            machine = Machine(system_by_key("bs_dm"), memory_model="event")
-            Machine(system_by_key("bs_dm"), memory_model="event")
-        assert machine.backend == "event"
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "backend" in str(deprecations[0].message)
-
-    def test_conflicting_backend_and_alias_rejected(self):
-        import warnings
-
-        from repro.system import system_by_key
-        from repro.system.machine import Machine
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ConfigError, match="not conflicting"):
-                Machine(
-                    system_by_key("bs_dm"),
-                    backend="fast",
-                    memory_model="event",
-                )
-
-    def test_matching_backend_and_alias_accepted(self):
-        import warnings
-
-        from repro.system import system_by_key
-        from repro.system.machine import Machine
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            machine = Machine(
-                system_by_key("bs_dm"), backend="fast", memory_model="fast"
-            )
-        assert machine.backend == "fast"
-
-    def test_backend_hints_warns(self):
-        import warnings
-
-        from repro.cpu.cpu import CPUModel
-
-        cpu = CPUModel()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            hints = cpu.backend_hints()
-            cpu.backend_hints()
-        assert hints == {"max_inflight": cpu.max_inflight}
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_stage_params_accept_alias(self):
-        import warnings
-
-        from repro.system import system_by_key
-        from repro.system.stages import MachineParams
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = MachineParams.from_kwargs(
-                system_by_key("bs_dm"), memory_model="event"
-            )
-        assert params.backend == "event"

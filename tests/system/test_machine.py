@@ -87,11 +87,11 @@ class TestEngines:
 
     def test_unknown_memory_model(self):
         with pytest.raises(ConfigError):
-            Machine(system_by_key("bs_dm"), memory_model="exact")
+            Machine(system_by_key("bs_dm"), backend="exact")
 
     def test_event_model_runs(self):
         workload = MixedStrideWorkload(strides=(1, 16), accesses_per_stride=500)
-        machine = Machine(system_by_key("bs_dm"), memory_model="event")
+        machine = Machine(system_by_key("bs_dm"), backend="event")
         result = machine.run(workload)
         assert result.stats.requests > 0
 
