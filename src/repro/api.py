@@ -22,14 +22,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.core import (
-    ChunkGeometry,
-    MappingSelection,
-    SDAMController,
-    select_application_mapping,
-)
+from repro.core import MappingSelection, select_application_mapping
 from repro.faults import FaultPlan
-from repro.hbm import HBMConfig, WindowModel, hbm2_config
 from repro.ml import AutoencoderConfig
 from repro.online import (
     AdaptiveCampaignResult,

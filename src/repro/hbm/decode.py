@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.bitmatrix import BitOperator, BitProjection
 from repro.core.sdam import AddressTranslator
-from repro.errors import MappingError
+from repro.errors import MappingError, SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.plancache import PlanCache, default_plan_cache
 
@@ -42,6 +42,7 @@ __all__ = [
     "concat_decoded",
     "decode_trace",
     "decode_translated",
+    "forced_miss_mask",
     "iter_decoded_chunks",
     "plan_for",
 ]
@@ -245,3 +246,18 @@ def concat_decoded(chunks) -> DecodedTrace:
         column=np.concatenate([c.column for c in chunks]),
         global_bank=np.concatenate([c.global_bank for c in chunks]),
     )
+
+
+def forced_miss_mask(forced_miss, accesses: int) -> np.ndarray:
+    """``forced_miss`` as a boolean mask holding one flag per access.
+
+    Every timing tier takes the mask in whole-trace form; a mask of any
+    other length is a caller bug, not a request to pad or truncate.
+    """
+    mask = np.asarray(forced_miss, dtype=bool)
+    if mask.shape != (accesses,):
+        raise SimulationError(
+            f"forced_miss has shape {mask.shape}, but the trace has "
+            f"{accesses} accesses (one flag per access)"
+        )
+    return mask

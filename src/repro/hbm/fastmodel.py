@@ -25,7 +25,12 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, concat_decoded, decode_trace
+from repro.hbm.decode import (
+    DecodedTrace,
+    concat_decoded,
+    decode_trace,
+    forced_miss_mask,
+)
 from repro.hbm.stats import RunStats
 
 __all__ = ["WindowModel", "row_hit_mask"]
@@ -112,13 +117,15 @@ class WindowModel:
                 )
             decoded = concat_decoded(decoded)
         n = len(decoded)
+        if forced_miss is not None:
+            forced_miss = forced_miss_mask(forced_miss, n)
         channels = self.config.num_channels
         if n == 0:
             zeros = np.zeros(channels)
             return RunStats(0, 0, 0.0, 0, 0, channels, zeros, zeros)
         hits = row_hit_mask(decoded, self.reorder_window)
         if forced_miss is not None:
-            hits = hits & ~np.asarray(forced_miss, dtype=bool)
+            hits = hits & ~forced_miss
         t_burst = self.config.effective_t_burst_ns
         cost = np.where(hits, t_burst, self.config.effective_t_row_miss_ns)
         banks_per_channel = self.config.banks_per_channel

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, decode_trace
+from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask
 from repro.hbm.stats import RunStats
 
 __all__ = ["VectorModel"]
@@ -89,7 +89,7 @@ class _ChannelLane:
         banks = config.banks_per_channel
         self.t_burst = config.effective_t_burst_ns
         self.t_miss = config.effective_t_row_miss_ns
-        self.window = max(1, frfcfs_window)
+        self.window = frfcfs_window
         self.block = block_accesses
         self.open_row = np.full(banks, -1, dtype=np.int64)
         self.bank_ready = np.zeros(banks, dtype=np.float64)
@@ -312,6 +312,8 @@ class VectorModel:
     ):
         if max_inflight < 1:
             raise SimulationError("max_inflight must be >= 1")
+        if frfcfs_window < 1:
+            raise SimulationError("frfcfs_window must be >= 1")
         if block_accesses < 1:
             raise SimulationError("block_accesses must be >= 1")
         self.config = config
@@ -339,6 +341,8 @@ class VectorModel:
         pay the full miss cost.
         """
         if isinstance(decoded, DecodedTrace):
+            if forced_miss is not None:
+                forced_miss = forced_miss_mask(forced_miss, len(decoded))
             stream: Iterator = iter([(decoded, forced_miss)])
         else:
             if forced_miss is not None:

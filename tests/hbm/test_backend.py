@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.hbm import (
     MemoryBackend,
     available_backends,
@@ -15,6 +15,7 @@ from repro.hbm import (
 from repro.hbm import backend as backend_module
 from repro.hbm.device import HBMDevice
 from repro.hbm.fastmodel import WindowModel
+from repro.hbm.vectormodel import VectorModel
 
 CONFIG = hbm2_config()
 
@@ -139,3 +140,32 @@ class TestMachineSelection:
         for name in ("fast", "vector", "event"):
             machine = Machine(system_by_key("bs_dm"), backend=name)
             assert machine.backend == name
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("name", ["event", "vector", "fast"])
+    @pytest.mark.parametrize("flags", [50, 150])
+    def test_forced_miss_of_wrong_length_rejected(self, name, flags):
+        decoded = decode_trace(_trace(100), CONFIG)
+        backend = create_backend(name, CONFIG)
+        with pytest.raises(SimulationError, match=rf"\({flags},\).* 100 acc"):
+            backend.simulate_decoded(decoded, np.zeros(flags, dtype=bool))
+
+    @pytest.mark.parametrize("name", ["event", "vector", "fast"])
+    def test_forced_miss_of_right_length_accepted(self, name):
+        decoded = decode_trace(_trace(100), CONFIG)
+        stats = create_backend(name, CONFIG).simulate_decoded(
+            decoded, [True] * 100
+        )
+        assert stats.row_hits == 0 and stats.row_misses == 100
+
+    @pytest.mark.parametrize("model", [HBMDevice, VectorModel])
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_frfcfs_window_below_one_rejected(self, model, window):
+        with pytest.raises(SimulationError, match="frfcfs_window"):
+            model(CONFIG, frfcfs_window=window)
+
+    @pytest.mark.parametrize("name", ["event", "vector"])
+    def test_frfcfs_window_rejected_through_backend_options(self, name):
+        with pytest.raises(SimulationError, match="frfcfs_window"):
+            create_backend(name, CONFIG, max_inflight=64, frfcfs_window=0)

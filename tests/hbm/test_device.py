@@ -1,13 +1,17 @@
-"""Tests for the event-driven HBM device model."""
+"""Tests for the event-driven HBM device model.
+
+``TestBank`` and ``TestChannel`` check the object-model event loop kept
+in :mod:`repro.system.bench` as the oracle of the flat-state
+:class:`HBMDevice` (``test_event_differential.py`` compares the two).
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.hbm.bank import Bank
-from repro.hbm.channel import Channel, ChannelRequest
 from repro.hbm.config import hbm2_config
 from repro.hbm.device import HBMDevice
+from repro.system.bench import Bank, Channel, ChannelRequest
 
 
 def stride_trace(stride_lines: int, count: int = 2048) -> np.ndarray:

@@ -1,11 +1,19 @@
 """Tests for the translation-datapath microbenchmark."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import main
-from repro.system.bench import SCENARIOS, STAGES, run_benchmark, write_report
+from repro.hbm.device import HBMDevice
+from repro.system.bench import (
+    SCENARIOS,
+    STAGES,
+    run_benchmark,
+    run_evaluate_benchmark,
+    write_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,36 @@ class TestRunBenchmark:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown bench scenario"):
             run_benchmark(accesses=256, repeats=1, scenarios=("nope",))
+
+
+class TestEvaluateBenchmark:
+    def test_cells_time_the_event_tier_beside_the_reference(self):
+        report = run_evaluate_benchmark(accesses=2048, seed=1, repeats=1)
+        assert set(report["cells"]) == set(SCENARIOS)
+        for cell in report["cells"].values():
+            evaluate = cell["evaluate"]
+            for key in ("baseline_ns", "event_ns", "fused_ns"):
+                assert evaluate[key] > 0
+            assert evaluate["speedup_vs_event"] == pytest.approx(
+                evaluate["event_ns"] / evaluate["fused_ns"]
+            )
+        assert set(report["summary_speedup_geomean"]) == {
+            "evaluate",
+            "evaluate_vs_event",
+        }
+
+    def test_event_tier_diverging_from_reference_fails(self, monkeypatch):
+        simulate = HBMDevice.simulate_decoded
+
+        def off_by_one(self, decoded, forced_miss=None):
+            stats = simulate(self, decoded, forced_miss)
+            return replace(stats, row_hits=stats.row_hits + 1)
+
+        monkeypatch.setattr(HBMDevice, "simulate_decoded", off_by_one)
+        with pytest.raises(AssertionError, match="row_hits diverges"):
+            run_evaluate_benchmark(
+                accesses=512, repeats=1, scenarios=("bs_dm",)
+            )
 
 
 class TestBenchCLI:
