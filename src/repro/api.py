@@ -57,7 +57,6 @@ from repro.system import (
     RetryPolicy,
     SuiteResult,
     SystemConfig,
-    run_suite,
     standard_systems,
     system_by_key,
 )

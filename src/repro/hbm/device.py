@@ -118,14 +118,13 @@ class HBMDevice:
         open_row: list[int | None] = [None] * (num_channels * banks)
         ready = [0.0] * (num_channels * banks)
 
-        completions: list[float] = []
         hits = 0
         # ``b if b > a else a`` below is ``max(a, b)`` to the bit (the
         # builtin keeps its first argument unless the second is greater),
         # spelled out because the call is a fifth of the loop's cost.
 
-        def serve_one() -> None:
-            """Issue the request with the earliest feasible start."""
+        def serve_one() -> float:
+            """Issue the request with the earliest start; return its end."""
             nonlocal hits
             now, c = starts[0]
             queue = queues[c]
@@ -177,7 +176,7 @@ class HBMDevice:
                 heapreplace(starts, (head if head > done else done, c))
             else:
                 heappop(starts)
-            heappush(completions, done)
+            return done
 
         admit_time = 0.0
         completed = 0
@@ -195,13 +194,10 @@ class HBMDevice:
             ):
                 # Admission control: wait for a window slot.
                 while issued - completed >= max_inflight:
-                    if not completions:
-                        serve_one()
-                    else:
-                        freed = heappop(completions)
-                        if freed > admit_time:
-                            admit_time = freed
-                        completed += 1
+                    freed = serve_one()
+                    if freed > admit_time:
+                        admit_time = freed
+                    completed += 1
                 queue = queues[c]
                 if not queue:
                     free = bus_free[c]

@@ -46,10 +46,11 @@ def row_hit_mask(decoded: DecodedTrace, reorder_window: int = 8) -> np.ndarray:
     after the first are hits.  ``reorder_window=1`` degenerates to the
     strict in-order rule (previous access to the bank must match).
     """
+    if reorder_window < 1:
+        raise SimulationError("reorder_window must be >= 1")
     n = len(decoded)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    window = max(1, reorder_window)
     # Rank of each access within its bank's sub-stream.
     bank_order = np.argsort(decoded.global_bank, kind="stable")
     bank_sorted = decoded.global_bank[bank_order]
@@ -57,7 +58,7 @@ def row_hit_mask(decoded: DecodedTrace, reorder_window: int = 8) -> np.ndarray:
     new_bank[1:] = bank_sorted[1:] != bank_sorted[:-1]
     group_start = np.maximum.accumulate(np.where(new_bank, np.arange(n), 0))
     pos_in_bank = np.arange(n) - group_start
-    batch = pos_in_bank // window
+    batch = pos_in_bank // reorder_window
     # Within (bank, batch, row), everything after the first access hits.
     keys = np.empty(n, dtype=np.int64)
     keys[bank_order] = batch  # batch id, aligned back to trace order
@@ -87,6 +88,8 @@ class WindowModel:
     ):
         if max_inflight < 1:
             raise SimulationError("max_inflight must be >= 1")
+        if reorder_window < 1:
+            raise SimulationError("reorder_window must be >= 1")
         self.config = config
         self.max_inflight = max_inflight
         self.reorder_window = reorder_window

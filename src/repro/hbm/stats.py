@@ -1,85 +1,52 @@
 """Simulation statistics: bandwidth, CLP utilisation, row-hit rates.
 
+:class:`RunStats`, :class:`BackendHealth` and :class:`RemapTraffic` are
+ledgers (:mod:`repro.ledger`, DESIGN.md §19): their field declarations
+give the merge laws and the dict form.
+
 Also home of :class:`DeviceHealth`, the RAS-side error bookkeeping.  It
 is deliberately a separate class from :class:`RunStats` — RunStats is
 frozen, cached and fingerprinted by the experiment engine, so growing
-it would invalidate every on-disk cache entry.
+it would invalidate every on-disk cache entry — and not a ledger: it
+classifies fault topology and never merges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from repro.ledger import Ledger, ledger_field
 
 __all__ = ["BackendHealth", "DeviceHealth", "RemapTraffic", "RunStats"]
 
 
 @dataclass(frozen=True)
-class RunStats:
+class RunStats(Ledger, strict=True):
     """Outcome of running one HA trace through a memory model.
 
     ``clp_utilization`` is the share of total channel-time that was
     actually busy: 1.0 means every channel worked for the whole run
     (perfect channel-level parallelism), 1/num_channels means one
     channel did all the work while the rest idled — the stride-32 worst
-    case of Fig. 3.
+    case of Fig. 3.  Stats of disjoint parts of one run merge lawfully
+    (parts share the time origin), so per-job and per-tenant reports
+    reduce to the same result in any order.
     """
 
     requests: int
     bytes_moved: int
-    makespan_ns: float
+    makespan_ns: float = ledger_field("max")
     row_hits: int
     row_misses: int
-    num_channels: int
-    per_channel_requests: np.ndarray = field(repr=False)
-    per_channel_busy_ns: np.ndarray = field(repr=False)
-
-    @classmethod
-    def empty(cls, num_channels: int) -> "RunStats":
-        """The merge identity: an all-zero stats for ``num_channels``."""
-        return cls(
-            requests=0,
-            bytes_moved=0,
-            makespan_ns=0.0,
-            row_hits=0,
-            row_misses=0,
-            num_channels=num_channels,
-            per_channel_requests=np.zeros(num_channels, dtype=np.int64),
-            per_channel_busy_ns=np.zeros(num_channels, dtype=np.float64),
-        )
-
-    def merge(self, other: "RunStats") -> "RunStats":
-        """Combine stats from disjoint parts of one run.
-
-        Counters add, per-channel arrays add elementwise, and the
-        makespan takes the max (parts of one run share the time
-        origin).  Lawful: associative, commutative, with
-        :meth:`empty` as identity — so partial reports (per job, per
-        tenant) reduce to the same result in any order.
-        """
-        if self.num_channels != other.num_channels:
-            raise ValueError(
-                "cannot merge RunStats with different channel counts: "
-                f"{self.num_channels} != {other.num_channels}"
-            )
-        return RunStats(
-            requests=self.requests + other.requests,
-            bytes_moved=self.bytes_moved + other.bytes_moved,
-            makespan_ns=max(self.makespan_ns, other.makespan_ns),
-            row_hits=self.row_hits + other.row_hits,
-            row_misses=self.row_misses + other.row_misses,
-            num_channels=self.num_channels,
-            per_channel_requests=self.per_channel_requests
-            + other.per_channel_requests,
-            per_channel_busy_ns=self.per_channel_busy_ns
-            + other.per_channel_busy_ns,
-        )
-
-    def __add__(self, other: "RunStats") -> "RunStats":
-        if not isinstance(other, RunStats):
-            return NotImplemented
-        return self.merge(other)
+    num_channels: int = ledger_field("left", match=True)
+    per_channel_requests: np.ndarray = ledger_field(
+        dtype=np.int64, length="num_channels", repr=False
+    )
+    per_channel_busy_ns: np.ndarray = ledger_field(
+        dtype=np.float64, length="num_channels", repr=False
+    )
 
     @property
     def throughput_gbps(self) -> float:
@@ -127,45 +94,9 @@ class RunStats:
             f"({self.channels_touched}/{self.num_channels} channels)"
         )
 
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form; :meth:`from_dict` round-trips it."""
-        return {
-            "requests": self.requests,
-            "bytes_moved": self.bytes_moved,
-            "makespan_ns": self.makespan_ns,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "num_channels": self.num_channels,
-            "per_channel_requests": [
-                int(v) for v in self.per_channel_requests
-            ],
-            "per_channel_busy_ns": [
-                float(v) for v in self.per_channel_busy_ns
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunStats":
-        """Rebuild stats written by :meth:`to_dict`."""
-        return cls(
-            requests=int(data["requests"]),
-            bytes_moved=int(data["bytes_moved"]),
-            makespan_ns=float(data["makespan_ns"]),
-            row_hits=int(data["row_hits"]),
-            row_misses=int(data["row_misses"]),
-            num_channels=int(data["num_channels"]),
-            per_channel_requests=np.asarray(
-                data["per_channel_requests"], dtype=np.int64
-            ),
-            per_channel_busy_ns=np.asarray(
-                data["per_channel_busy_ns"], dtype=np.float64
-            ),
-        )
-
 
 @dataclass
-class BackendHealth:
+class BackendHealth(Ledger, derived=("ok",)):
     """Structured record of every degradation a guarded run suffered.
 
     Like :class:`DeviceHealth` and :class:`RemapTraffic`, deliberately
@@ -181,10 +112,10 @@ class BackendHealth:
     report when a guard ran.
     """
 
-    backend: str = "vector"
-    demoted_to: str | None = None
-    degradations: list = field(default_factory=list)
-    guard: dict | None = None
+    backend: str = ledger_field("left", default="vector")
+    demoted_to: str | None = ledger_field("latest", default=None)
+    degradations: list = ledger_field("concat", default_factory=list)
+    guard: dict | None = ledger_field("latest", default=None)
 
     def record(self, event: str, reason: str, **detail) -> None:
         """Append one structured degradation event."""
@@ -201,45 +132,9 @@ class BackendHealth:
             return False
         return self.guard is None or not self.guard.get("diverged", False)
 
-    def merge(self, other: "BackendHealth") -> "BackendHealth":
-        """Combine health from sequential runs of the same backend."""
-        merged = BackendHealth(
-            backend=self.backend,
-            demoted_to=other.demoted_to or self.demoted_to,
-            degradations=list(self.degradations) + list(other.degradations),
-            guard=other.guard if other.guard is not None else self.guard,
-        )
-        return merged
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "backend": self.backend,
-            "demoted_to": self.demoted_to,
-            "degradations": [dict(d) for d in self.degradations],
-            "guard": dict(self.guard) if self.guard is not None else None,
-            "ok": self.ok,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackendHealth":
-        """Rebuild health written by :meth:`to_dict`.
-
-        Unknown keys (fields older versions wrote) are ignored, so
-        cache entries written before a field was dropped still load.
-        """
-        return cls(
-            backend=str(data.get("backend", "vector")),
-            demoted_to=data.get("demoted_to"),
-            degradations=[dict(d) for d in data.get("degradations", [])],
-            guard=(
-                dict(data["guard"]) if data.get("guard") is not None else None
-            ),
-        )
-
 
 @dataclass
-class RemapTraffic:
+class RemapTraffic(Ledger, derived=("overhead_ns",)):
     """Accounting for live-remap traffic (the online control plane).
 
     Like :class:`DeviceHealth`, deliberately separate from the frozen,
@@ -271,47 +166,10 @@ class RemapTraffic:
         self.bytes_moved += 2 * int(report.lines_copied) * int(line_bytes)
         self.migration_ns += float(report.cost_ns)
 
-    def merge(self, other: "RemapTraffic") -> "RemapTraffic":
-        """Combine counters from independent campaign runs (all add)."""
-        return RemapTraffic(
-            remaps=self.remaps + other.remaps,
-            failed_remaps=self.failed_remaps + other.failed_remaps,
-            rollback_migrations=self.rollback_migrations
-            + other.rollback_migrations,
-            chunks_migrated=self.chunks_migrated + other.chunks_migrated,
-            lines_copied=self.lines_copied + other.lines_copied,
-            bytes_moved=self.bytes_moved + other.bytes_moved,
-            migration_ns=self.migration_ns + other.migration_ns,
-            cmt_writes=self.cmt_writes + other.cmt_writes,
-            amu_reprograms=self.amu_reprograms + other.amu_reprograms,
-            reprogram_ns=self.reprogram_ns + other.reprogram_ns,
-        )
-
-    def __add__(self, other: "RemapTraffic") -> "RemapTraffic":
-        if not isinstance(other, RemapTraffic):
-            return NotImplemented
-        return self.merge(other)
-
     @property
     def overhead_ns(self) -> float:
         """Total simulated time the remaps cost."""
         return self.migration_ns + self.reprogram_ns
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "remaps": self.remaps,
-            "failed_remaps": self.failed_remaps,
-            "rollback_migrations": self.rollback_migrations,
-            "chunks_migrated": self.chunks_migrated,
-            "lines_copied": self.lines_copied,
-            "bytes_moved": self.bytes_moved,
-            "migration_ns": self.migration_ns,
-            "cmt_writes": self.cmt_writes,
-            "amu_reprograms": self.amu_reprograms,
-            "reprogram_ns": self.reprogram_ns,
-            "overhead_ns": self.overhead_ns,
-        }
 
 
 class DeviceHealth:

@@ -18,8 +18,8 @@ Design rules, shared with the other health types:
   ``completed + failed + timeouts + dropped == submitted``.
   :meth:`violations` checks this (and lane liveness flags) so CLI soak
   runs can gate on it.
-* **Merge laws** — like :class:`~repro.hbm.stats.BackendHealth`:
-  counters add, journals concatenate in order, :meth:`empty` is the
+* **Merge laws** — a ledger (:mod:`repro.ledger`, DESIGN.md §19):
+  counters add, journals concatenate in order, ``empty()`` is the
   identity and merging is associative, so per-tenant or per-lane
   health reduces to one service-wide record in any grouping.
 """
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+
+from repro.ledger import Ledger, ledger_field
 
 __all__ = ["ServiceHealth"]
 
@@ -52,7 +54,7 @@ _EVENT_COUNTERS = {
 
 
 @dataclass
-class ServiceHealth:
+class ServiceHealth(Ledger, derived=("ok", "conserved", "violations")):
     """Structured record of everything the serving layer did under stress.
 
     ``submitted``/``completed`` are bumped directly (they are
@@ -76,16 +78,11 @@ class ServiceHealth:
     preemptions: int = 0
     reclaims: int = 0
     trims: int = 0
-    events: list = field(default_factory=list)
+    events: list = ledger_field("concat", default_factory=list)
     # Lanes record concurrently; every mutation is serialised here.
     _lock: threading.RLock = field(
         default_factory=threading.RLock, init=False, repr=False, compare=False
     )
-
-    @classmethod
-    def empty(cls) -> "ServiceHealth":
-        """The merge identity: a fresh, all-zero journal."""
-        return cls()
 
     # -- recording -----------------------------------------------------------
     def note_submitted(self, count: int = 1) -> None:
@@ -148,82 +145,6 @@ class ServiceHealth:
                 f"({self.submitted} submitted, {self.accounted} terminal)"
             )
         return problems
-
-    # -- merge laws ----------------------------------------------------------
-    def merge(self, other: "ServiceHealth") -> "ServiceHealth":
-        """Combine journals (counters add, events concatenate in order).
-
-        Associative, with :meth:`empty` as identity.  Not commutative:
-        the journal keeps arrival order, like
-        :class:`~repro.hbm.stats.BackendHealth`.
-        """
-        return ServiceHealth(
-            submitted=self.submitted + other.submitted,
-            completed=self.completed + other.completed,
-            failed=self.failed + other.failed,
-            retried=self.retried + other.retried,
-            timeouts=self.timeouts + other.timeouts,
-            shed=self.shed + other.shed,
-            dropped=self.dropped + other.dropped,
-            rejected=self.rejected + other.rejected,
-            lane_crashes=self.lane_crashes + other.lane_crashes,
-            lane_restarts=self.lane_restarts + other.lane_restarts,
-            lane_abandonments=self.lane_abandonments
-            + other.lane_abandonments,
-            quarantines=self.quarantines + other.quarantines,
-            restores=self.restores + other.restores,
-            preemptions=self.preemptions + other.preemptions,
-            reclaims=self.reclaims + other.reclaims,
-            trims=self.trims + other.trims,
-            events=list(self.events) + list(other.events),
-        )
-
-    def __add__(self, other: "ServiceHealth") -> "ServiceHealth":
-        if not isinstance(other, ServiceHealth):
-            return NotImplemented
-        return self.merge(other)
-
-    # -- serialisation -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form (the soak-run artifact)."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "retried": self.retried,
-            "timeouts": self.timeouts,
-            "shed": self.shed,
-            "dropped": self.dropped,
-            "rejected": self.rejected,
-            "lane_crashes": self.lane_crashes,
-            "lane_restarts": self.lane_restarts,
-            "lane_abandonments": self.lane_abandonments,
-            "quarantines": self.quarantines,
-            "restores": self.restores,
-            "preemptions": self.preemptions,
-            "reclaims": self.reclaims,
-            "trims": self.trims,
-            "events": [dict(e) for e in self.events],
-            "ok": self.ok,
-            "conserved": self.conserved(),
-            "violations": self.violations(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceHealth":
-        """Rebuild a journal written by :meth:`to_dict`."""
-        fields = {
-            name: int(data.get(name, 0))
-            for name in (
-                "submitted", "completed", "failed", "retried", "timeouts",
-                "shed", "dropped", "rejected", "lane_crashes",
-                "lane_restarts", "lane_abandonments", "quarantines",
-                "restores", "preemptions", "reclaims", "trims",
-            )
-        }
-        return cls(
-            events=[dict(e) for e in data.get("events", [])], **fields
-        )
 
     def summary(self) -> str:
         """One-line human-readable summary."""

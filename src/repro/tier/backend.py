@@ -32,7 +32,12 @@ import numpy as np
 from repro.errors import ConfigError, SimulationError
 from repro.hbm.backend import create_backend
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, concat_decoded, decode_trace
+from repro.hbm.decode import (
+    DecodedTrace,
+    concat_decoded,
+    decode_trace,
+    forced_miss_mask,
+)
 from repro.hbm.stats import RunStats
 from repro.tier.config import SlowTierConfig, TierConfig
 from repro.tier.placement import TierPlacement
@@ -223,6 +228,8 @@ class TieredBackend:
             else concat_decoded(list(decoded))
         )
         n = len(full)
+        if forced_miss is not None:
+            forced_miss = forced_miss_mask(forced_miss, n)
         ha, pages = self._pages_of(full)
         fast_mask = np.ones(n, dtype=bool)
         wave = self.tier.wave_accesses

@@ -14,7 +14,7 @@ from repro.hbm import (
 )
 from repro.hbm import backend as backend_module
 from repro.hbm.device import HBMDevice
-from repro.hbm.fastmodel import WindowModel
+from repro.hbm.fastmodel import WindowModel, row_hit_mask
 from repro.hbm.vectormodel import VectorModel
 
 CONFIG = hbm2_config()
@@ -169,3 +169,12 @@ class TestInputValidation:
     def test_frfcfs_window_rejected_through_backend_options(self, name):
         with pytest.raises(SimulationError, match="frfcfs_window"):
             create_backend(name, CONFIG, max_inflight=64, frfcfs_window=0)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_fast_reorder_window_below_one_rejected(self, window):
+        with pytest.raises(SimulationError, match="reorder_window"):
+            WindowModel(CONFIG, reorder_window=window)
+        with pytest.raises(SimulationError, match="reorder_window"):
+            create_backend("fast", CONFIG, reorder_window=window)
+        with pytest.raises(SimulationError, match="reorder_window"):
+            row_hit_mask(decode_trace(_trace(100), CONFIG), window)

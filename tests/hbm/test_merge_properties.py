@@ -1,31 +1,28 @@
-"""Merge laws for the mutable bookkeeping types, as properties.
+"""The ledger laws bound to the hbm ledgers, over hypothesis draws.
 
-:class:`~repro.hbm.stats.RunStats` already has example-based merge-law
-tests (``tests/hbm/test_vectormodel.py::TestMergeLaws``); the service
-layer now also reduces :class:`~repro.hbm.stats.BackendHealth` and
-:class:`~repro.hbm.stats.RemapTraffic` across per-tenant runs, so their
-laws get the hypothesis treatment:
+:class:`~repro.hbm.stats.RunStats`, :class:`~repro.hbm.stats.BackendHealth`
+and :class:`~repro.hbm.stats.RemapTraffic` fold across per-job,
+per-tenant and per-campaign reports, so each gets the shared laws of
+``tests/ledger_laws.py``: identity, associativity, commutativity of
+every commuting field, conservation, untouched operands, foreign
+``__add__``, the dict round trip and a golden ``to_dict``.
 
-* identity — merging with a fresh/empty instance changes nothing;
-* associativity — any reduction order gives the same journal;
-* conservation — merged counters are exactly the sums, and merged
-  journals are exactly the concatenations.
-
-``BackendHealth.merge`` is deliberately *not* commutative (it models
-*sequential* runs: ``demoted_to``/``guard`` take the latest value and
-``degradations`` keep arrival order), so no commutativity law is
-claimed for it.  ``RemapTraffic`` is all-adding and therefore also
-commutative.
+``BackendHealth`` is deliberately *not* commutative as a whole (it
+models *sequential* runs: ``demoted_to``/``guard`` take the latest
+value and ``degradations`` keep arrival order).
 
 Nanosecond fields are drawn as integer-valued floats: the laws under
 test are about the merge structure, not about float addition being
 associative (it is not).
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hbm.stats import BackendHealth, RemapTraffic
+from repro.hbm.stats import BackendHealth, RemapTraffic, RunStats
+from tests.ledger_laws import LedgerLaws
 
 counters = st.integers(min_value=0, max_value=10_000)
 whole_ns = st.integers(min_value=0, max_value=10**9).map(float)
@@ -42,7 +39,7 @@ degradation_entries = st.lists(
 
 backend_healths = st.builds(
     BackendHealth,
-    backend=st.just("vector"),
+    backend=st.sampled_from(["vector", "event"]),
     demoted_to=st.none() | st.sampled_from(["event", "tiered:event"]),
     degradations=degradation_entries,
     guard=st.none()
@@ -63,48 +60,48 @@ remap_traffics = st.builds(
     reprogram_ns=whole_ns,
 )
 
-_TRAFFIC_COUNTERS = (
-    "remaps",
-    "failed_remaps",
-    "rollback_migrations",
-    "chunks_migrated",
-    "lines_copied",
-    "bytes_moved",
-    "migration_ns",
-    "cmt_writes",
-    "amu_reprograms",
-    "reprogram_ns",
+CHANNELS = 4
+
+run_stats = st.builds(
+    RunStats,
+    requests=counters,
+    bytes_moved=counters,
+    makespan_ns=whole_ns,
+    row_hits=counters,
+    row_misses=counters,
+    num_channels=st.just(CHANNELS),
+    per_channel_requests=st.lists(
+        counters, min_size=CHANNELS, max_size=CHANNELS
+    ).map(lambda v: np.array(v, dtype=np.int64)),
+    per_channel_busy_ns=st.lists(
+        whole_ns, min_size=CHANNELS, max_size=CHANNELS
+    ).map(lambda v: np.array(v, dtype=np.float64)),
 )
 
 
-class TestBackendHealthMergeLaws:
-    @settings(max_examples=60, deadline=None)
-    @given(a=backend_healths)
-    def test_identity(self, a):
-        empty = BackendHealth(backend=a.backend)
-        assert a.merge(empty).to_dict() == a.to_dict()
-        assert empty.merge(a).to_dict() == a.to_dict()
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=backend_healths, b=backend_healths, c=backend_healths)
-    def test_associative(self, a, b, c):
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.to_dict() == right.to_dict()
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=backend_healths, b=backend_healths)
-    def test_counter_conservation(self, a, b):
-        merged = a.merge(b)
-        assert merged.degradations == a.degradations + b.degradations
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=backend_healths, b=backend_healths)
-    def test_merge_leaves_operands_untouched(self, a, b):
-        before_a, before_b = a.to_dict(), b.to_dict()
-        a.merge(b)
-        assert a.to_dict() == before_a
-        assert b.to_dict() == before_b
+class TestBackendHealthMergeLaws(LedgerLaws):
+    instances = backend_healths
+    golden = (
+        BackendHealth(
+            backend="vector",
+            demoted_to="event",
+            degradations=[
+                {"event": "tier-demoted", "reason": "diverged",
+                 "to": "event", "wave": 3},
+            ],
+            guard={"diverged": True, "delta": 0.5},
+        ),
+        {
+            "backend": "vector",
+            "demoted_to": "event",
+            "degradations": [
+                {"event": "tier-demoted", "reason": "diverged",
+                 "to": "event", "wave": 3},
+            ],
+            "guard": {"diverged": True, "delta": 0.5},
+            "ok": False,
+        },
+    )
 
     @settings(max_examples=60, deadline=None)
     @given(a=backend_healths, b=backend_healths)
@@ -114,29 +111,44 @@ class TestBackendHealthMergeLaws:
         assert merged.guard == (b.guard if b.guard is not None else a.guard)
 
 
-class TestRemapTrafficMergeLaws:
-    @settings(max_examples=60, deadline=None)
-    @given(a=remap_traffics)
-    def test_identity(self, a):
-        assert a.merge(RemapTraffic()).to_dict() == a.to_dict()
-        assert RemapTraffic().merge(a).to_dict() == a.to_dict()
+class TestRemapTrafficMergeLaws(LedgerLaws):
+    instances = remap_traffics
+    golden = (
+        RemapTraffic(
+            remaps=2, failed_remaps=1, lines_copied=100, migration_ns=50.0,
+            reprogram_ns=2.5,
+        ),
+        {
+            "remaps": 2, "failed_remaps": 1, "rollback_migrations": 0,
+            "chunks_migrated": 0, "lines_copied": 100, "bytes_moved": 0,
+            "migration_ns": 50.0, "cmt_writes": 0, "amu_reprograms": 0,
+            "reprogram_ns": 2.5, "overhead_ns": 52.5,
+        },
+    )
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=remap_traffics, b=remap_traffics, c=remap_traffics)
-    def test_associative(self, a, b, c):
-        assert (a + b + c).to_dict() == a.merge(b.merge(c)).to_dict()
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=remap_traffics, b=remap_traffics)
-    def test_commutative(self, a, b):
-        assert a.merge(b).to_dict() == b.merge(a).to_dict()
+class TestRunStatsMergeLaws(LedgerLaws):
+    instances = run_stats
+    golden = (
+        RunStats(
+            5, 320, 12.5, 3, 2, 4,
+            np.array([2, 1, 0, 2], dtype=np.int64),
+            np.array([1.5, 2.0, 0.0, 3.25]),
+        ),
+        {
+            "requests": 5, "bytes_moved": 320, "makespan_ns": 12.5,
+            "row_hits": 3, "row_misses": 2, "num_channels": 4,
+            "per_channel_requests": [2, 1, 0, 2],
+            "per_channel_busy_ns": [1.5, 2.0, 0.0, 3.25],
+        },
+    )
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=remap_traffics, b=remap_traffics)
-    def test_counter_conservation(self, a, b):
-        merged = a.merge(b)
-        for name in _TRAFFIC_COUNTERS:
-            assert getattr(merged, name) == getattr(a, name) + getattr(
-                b, name
-            )
-        assert merged.overhead_ns == merged.migration_ns + merged.reprogram_ns
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="num_channels: 8 != 16"):
+            RunStats.empty(8).merge(RunStats.empty(16))
+
+    def test_empty_sizes_per_channel_arrays(self):
+        empty = RunStats.empty(CHANNELS)
+        assert empty.per_channel_requests.dtype == np.int64
+        assert empty.per_channel_busy_ns.dtype == np.float64
+        assert empty.to_dict()["per_channel_requests"] == [0] * CHANNELS

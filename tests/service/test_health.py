@@ -1,4 +1,8 @@
-"""Tests for the service-degradation journal and its merge laws."""
+"""Tests for the service-degradation journal.
+
+Its merge and serialisation laws are the shared ledger laws of
+``tests/ledger_laws.py``, bound here to hypothesis-drawn journals.
+"""
 
 import threading
 
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.health import ServiceHealth
+from tests.ledger_laws import LedgerLaws
 
 _counters = st.integers(min_value=0, max_value=1000)
 
@@ -34,64 +39,49 @@ _healths = st.builds(
     rejected=_counters,
     lane_crashes=_counters,
     lane_restarts=_counters,
+    lane_abandonments=_counters,
     quarantines=_counters,
     restores=_counters,
+    preemptions=_counters,
+    reclaims=_counters,
+    trims=_counters,
     events=_events,
 )
 
-_COUNTER_FIELDS = (
-    "submitted", "completed", "failed", "retried", "timeouts", "shed",
-    "dropped", "rejected", "lane_crashes", "lane_restarts",
-    "lane_abandonments", "quarantines", "restores", "preemptions",
-    "reclaims", "trims",
-)
 
-
-def _as_tuple(health: ServiceHealth) -> tuple:
-    return tuple(getattr(health, name) for name in _COUNTER_FIELDS) + (
-        list(health.events),
+class TestMergeLaws(LedgerLaws):
+    instances = _healths
+    golden = (
+        ServiceHealth(
+            submitted=4,
+            completed=3,
+            timeouts=1,
+            shed=1,
+            events=[
+                {"event": "job-shed", "tenant": "a", "reason": "queue full",
+                 "workload": "w"},
+                {"event": "job-timeout", "tenant": "b", "reason": "late"},
+            ],
+        ),
+        {
+            "submitted": 4, "completed": 3, "failed": 0, "retried": 0,
+            "timeouts": 1, "shed": 1, "dropped": 0, "rejected": 0,
+            "lane_crashes": 0, "lane_restarts": 0, "lane_abandonments": 0,
+            "quarantines": 0, "restores": 0, "preemptions": 0,
+            "reclaims": 0, "trims": 0,
+            "events": [
+                {"event": "job-shed", "tenant": "a", "reason": "queue full",
+                 "workload": "w"},
+                {"event": "job-timeout", "tenant": "b", "reason": "late"},
+            ],
+            "ok": False, "conserved": True, "violations": [],
+        },
     )
-
-
-class TestMergeLaws:
-    @given(_healths)
-    @settings(max_examples=50, deadline=None)
-    def test_empty_is_identity(self, health):
-        assert _as_tuple(health.merge(ServiceHealth.empty())) == _as_tuple(
-            health
-        )
-        assert _as_tuple(ServiceHealth.empty().merge(health)) == _as_tuple(
-            health
-        )
-
-    @given(_healths, _healths, _healths)
-    @settings(max_examples=50, deadline=None)
-    def test_associative(self, a, b, c):
-        assert _as_tuple(a.merge(b).merge(c)) == _as_tuple(
-            a.merge(b.merge(c))
-        )
-
-    @given(_healths, _healths)
-    @settings(max_examples=50, deadline=None)
-    def test_counters_add_journals_concatenate(self, a, b):
-        merged = a.merge(b)
-        for name in _COUNTER_FIELDS:
-            assert getattr(merged, name) == getattr(a, name) + getattr(
-                b, name
-            )
-        assert merged.events == list(a.events) + list(b.events)
 
     @given(_healths, _healths)
     @settings(max_examples=50, deadline=None)
     def test_add_operator_matches_merge(self, a, b):
-        assert _as_tuple(a + b) == _as_tuple(a.merge(b))
-
-    @given(_healths)
-    @settings(max_examples=50, deadline=None)
-    def test_dict_roundtrip(self, health):
-        assert _as_tuple(ServiceHealth.from_dict(health.to_dict())) == (
-            _as_tuple(health)
-        )
+        assert (a + b).to_dict() == a.merge(b).to_dict()
 
 
 class TestRecording:

@@ -10,15 +10,18 @@ the sweep.
 import json
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.system import (
     ExperimentRunner,
     MachineResult,
+    StageMetrics,
     SuiteResult,
     system_by_key,
 )
 from repro.workloads import MixedStrideWorkload, StridedCopyWorkload
+from tests.ledger_laws import LedgerLaws
 
 
 def small_workloads():
@@ -147,3 +150,24 @@ class TestSerialization:
         rebuilt = MachineResult.from_dict(json.loads(result.to_json()))
         assert rebuilt.to_dict() == result.to_dict()
         assert rebuilt.selection.num_mappings == result.selection.num_mappings
+
+
+class TestStageMetricsMergeLaws(LedgerLaws):
+    instances = st.builds(
+        StageMetrics,
+        stage=st.sampled_from(["profile", "evaluate"]),
+        wall_seconds=st.integers(min_value=0, max_value=10**6).map(float),
+        cache_hits=st.integers(min_value=0, max_value=10_000),
+        cache_misses=st.integers(min_value=0, max_value=10_000),
+        bytes_simulated=st.integers(min_value=0, max_value=10**9),
+    )
+    golden = (
+        StageMetrics(
+            "evaluate", wall_seconds=1.25, cache_hits=3, cache_misses=1,
+            bytes_simulated=640,
+        ),
+        {
+            "stage": "evaluate", "wall_seconds": 1.25, "cache_hits": 3,
+            "cache_misses": 1, "bytes_simulated": 640,
+        },
+    )

@@ -134,6 +134,23 @@ class TestPressureAccounting:
                 iter(pieces), forced_miss=np.zeros(1024, dtype=bool)
             )
 
+    @pytest.mark.parametrize("flags", [974, 1074])
+    def test_forced_miss_of_wrong_length_rejected_under_pressure(self, flags):
+        decoded = decode_trace(_trace(1024), CONFIG)
+        backend = TieredBackend(CONFIG, fast_pages=16)
+        with pytest.raises(SimulationError, match=rf"\({flags},\).* 1024 acc"):
+            backend.simulate_decoded(decoded, np.zeros(flags, dtype=bool))
+
+    def test_forced_miss_list_accepted_under_pressure(self):
+        decoded = decode_trace(_trace(1024), CONFIG)
+        as_list = TieredBackend(CONFIG, fast_pages=16).simulate_decoded(
+            decoded, [True, False] * 512
+        )
+        as_array = TieredBackend(CONFIG, fast_pages=16).simulate_decoded(
+            decoded, np.tile([True, False], 512)
+        )
+        _assert_stats_equal(as_list, as_array)
+
 
 class TestDegenerateStreams:
     @pytest.mark.parametrize("policy", available_policies())

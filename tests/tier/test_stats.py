@@ -1,64 +1,44 @@
-"""Merge laws for :class:`~repro.tier.stats.TierTraffic`, as properties.
+"""Tests for :class:`~repro.tier.stats.TierTraffic`: laws and derived values.
 
-The same treatment :class:`~repro.hbm.stats.RemapTraffic` gets in
-``tests/hbm/test_merge_properties.py``: identity, associativity,
-commutativity, and exact counter conservation, over hypothesis-drawn
-instances.  Nanosecond fields are drawn as integer-valued floats so the
-laws are about the merge structure, not float associativity.
+The merge and serialisation laws are the shared ledger laws of
+``tests/ledger_laws.py``, bound here to hypothesis-drawn traffic.
 """
 
-from hypothesis import given, settings
+import dataclasses
+
 from hypothesis import strategies as st
 
-from repro.tier.stats import _FIELDS, TierTraffic
+from repro.tier.stats import TierTraffic
+from tests.ledger_laws import LedgerLaws
 
 counters = st.integers(min_value=0, max_value=10_000)
 whole_ns = st.integers(min_value=0, max_value=10**9).map(float)
 
-
-def _field_strategy(name):
-    return whole_ns if name.endswith("_ns") else counters
-
-
 traffics = st.builds(
-    TierTraffic, **{name: _field_strategy(name) for name in _FIELDS}
+    TierTraffic,
+    **{
+        f.name: whole_ns if f.type == "float" else counters
+        for f in dataclasses.fields(TierTraffic)
+    },
 )
 
 
-class TestMergeLaws:
-    @given(traffics)
-    @settings(max_examples=40, deadline=None)
-    def test_identity(self, t):
-        assert t.merge(TierTraffic.empty()) == t
-        assert TierTraffic.empty().merge(t) == t
-
-    @given(traffics, traffics)
-    @settings(max_examples=40, deadline=None)
-    def test_commutative(self, a, b):
-        assert a.merge(b) == b.merge(a)
-
-    @given(traffics, traffics, traffics)
-    @settings(max_examples=40, deadline=None)
-    def test_associative(self, a, b, c):
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    @given(traffics, traffics)
-    @settings(max_examples=40, deadline=None)
-    def test_counter_conservation(self, a, b):
-        merged = a + b
-        for name in _FIELDS:
-            assert getattr(merged, name) == getattr(a, name) + getattr(
-                b, name
-            )
-
-    @given(traffics)
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, t):
-        assert TierTraffic.from_dict(t.to_dict()) == t
-
-    def test_foreign_add_not_implemented(self):
-        assert TierTraffic().__add__(42) is NotImplemented
-        assert TierTraffic().__add__("traffic") is NotImplemented
+class TestMergeLaws(LedgerLaws):
+    instances = traffics
+    golden = (
+        TierTraffic(
+            fast_accesses=3, slow_accesses=1, swap_ns=5.0, trans_ns=7.0,
+            trans_lookups=4, trans_hits=1, sdam_remaps=2,
+        ),
+        {
+            "fast_accesses": 3, "slow_accesses": 1, "promotions": 0,
+            "demotions": 0, "retired_pins": 0, "swap_waves": 0,
+            "swap_bytes": 0, "swap_ns": 5.0, "trans_lookups": 4,
+            "trans_hits": 1, "trans_misses": 0, "trans_ns": 7.0,
+            "slow_busy_ns": 0.0, "sdam_remaps": 2, "sdam_rollbacks": 0,
+            "fast_fraction": 0.75, "overhead_ns": 12.0,
+        },
+    )
 
 
 class TestDerived:
